@@ -356,7 +356,9 @@ def parse_element(ring: Ring, n: int, text: str) -> GrassmannElement:
     if pos != len(compact):
         raise ValueError(f"cannot parse element near {compact[pos:]!r}")
 
-    acc = GrassmannElement.zero(ring, n)
+    out = GrassmannElement.zero(ring, n)  # rejects a bad n before any term
+    terms = out.terms  # filled in place while out is still private
+    p = ring.modulus
     i = 0
     while i < len(tokens):
         negative = False
@@ -383,9 +385,21 @@ def parse_element(ring: Ring, n: int, text: str) -> GrassmannElement:
         else:
             raise ValueError(f"unexpected token {tok!r}")
         if negative:
-            coeff = ring.normalize(-coeff)
-        acc = acc + GrassmannElement.monomial(ring, n, mask, coeff)
-    return acc
+            coeff = -coeff
+        coeff = ring.normalize(coeff)
+        if coeff == 0:
+            continue
+        # same insertion order as adding the monomials one at a time
+        acc = terms.get(mask)
+        if acc is not None:
+            coeff = acc + coeff
+            if p is not None:
+                coeff %= p
+        if coeff == 0:
+            del terms[mask]
+        else:
+            terms[mask] = coeff
+    return out
 
 
 def _parse_monomial(text: str, n: int) -> int:

@@ -153,6 +153,15 @@ class Endomorphism:
     # -- Jacobian ------------------------------------------------------------
 
     def jacobian(self) -> "JacobianData":
+        """The matrix J[i][j] = d_j(images[i]), its determinant and valuation.
+
+        The entries are even, hence central, so the determinant is computed
+        by elimination over that commutative local ring (``_eliminate``):
+        scalar Gauss-Jordan on the linear part, then Gaussian elimination on
+        unit pivots, O(n^3) element products.  Only a trailing block without
+        any unit entry, left when the linear part is singular, goes to the
+        cofactor expansion.
+        """
         if self._jac is None:
             if not self.has_odd_images():
                 raise ParityError(
@@ -161,45 +170,37 @@ class Endomorphism:
                 [skew_partial(j + 1, self.images[i]) for j in range(self.n)]
                 for i in range(self.n)
             ]
-            det = _det_central(self.ring, self.n, matrix)
+            det, _ = _eliminate(self.ring, self.n, matrix)
             self._jac = JacobianData(matrix=matrix, det=det,
                                      valuation=_valuation(det))
         return self._jac
 
     def _dual_data(self):
-        """Inverse Jacobian and all first minors, cached for dual derivatives."""
+        """Rows of the transposed inverse Jacobian, cached for dual derivatives.
+
+        The inverse comes from Gauss-Jordan elimination on unit pivots
+        (``_eliminate``), once per endomorphism; a column without a unit
+        pivot means the linear part is singular.
+        """
         if self._dual is None:
-            jac = self.jacobian()
-            a = self.linear_part()
-            if mat_det(self.ring, a) == 0:
-                raise NotInvertibleError("linear part is singular")
-            det_inv = invert_unit(jac.det)
-            minors = [
-                [_minor_central(self.ring, self.n, jac.matrix, i, j)
-                 for j in range(self.n)]
-                for i in range(self.n)
-            ]
-            self._dual = (det_inv, minors)
+            _, inv = _eliminate(self.ring, self.n, self.jacobian().matrix,
+                                inverse=True)
+            self._dual = [list(col) for col in zip(*inv)]
         return self._dual
 
     def dual_skew_partial(self, i: int, e: GrassmannElement) -> GrassmannElement:
         """The skew partial derivative with respect to the new coordinate images[i-1].
 
-        Expansion along the operator row: det_inv * sum_j (-1)**(i+j) M_ij d_j(e)
-        where M_ij is the Jacobian minor with row i and column j deleted.
+        By the chain rule d_j = sum_i J[i][j] d'_i, so
+        d'_i(e) = sum_j (J^-1)[j][i] d_j(e).
         """
-        det_inv, minors = self._dual_data()
         acc = GrassmannElement.zero(self.ring, self.n)
-        row = minors[i - 1]
-        for j in range(1, self.n + 1):
-            d = skew_partial(j, e)
-            if not d:
-                continue
-            term = row[j - 1] * d
-            if (i + j) & 1:
-                term = -term
-            acc = acc + term
-        return det_inv * acc
+        for j, entry in enumerate(self._dual_data()[i - 1], start=1):
+            if entry:
+                d = skew_partial(j, e)
+                if d:
+                    acc = acc + entry * d
+        return acc
 
     def dual_partial_word(self, e: GrassmannElement, mask: int) -> GrassmannElement:
         """Composite dual derivative; highest index outermost, as for plain ones."""
@@ -312,8 +313,96 @@ def _valuation(det: GrassmannElement) -> int:
     return min(d, cap)
 
 
+def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
+    """Determinant, and optionally inverse, of a matrix of even elements.
+
+    Even elements commute and form a local ring whose units are the elements
+    with a unit constant term.  Returns ``(det, inv)``, with ``inv`` the rows
+    of the inverse (Gauss-Jordan on ``[matrix | I]``) when ``inverse`` is set
+    and ``None`` otherwise.  Two passes:
+
+    1. Gauss-Jordan on the constant terms by scalar row operations (scalings
+       and sums, no element products).  For a linear part of rank r, the r
+       pivots become 1 + nilpotent and every other entry of their columns
+       becomes nilpotent, which keeps the products of the second pass sparse.
+    2. Elimination of those r columns, dividing by the pivots with
+       ``invert_unit``: O(n^3) element products.
+
+    Without ``inverse`` pivots are searched through the whole remaining block
+    (row and column swaps), so the block left without unit entries is
+    nilpotent; its determinant is the cofactor expansion.  With ``inverse`` a
+    column without a unit pivot raises ``NotInvertibleError``.
+    """
+    size = len(matrix)
+    one = GrassmannElement.one(ring, n)
+    rows = [list(row) for row in matrix]
+    if inverse:
+        zero = GrassmannElement.zero(ring, n)
+        for i, row in enumerate(rows):
+            row.extend(one if j == i else zero for j in range(size))
+    scalar = ring.one  # det(matrix) = scalar * det(rows) through pass 1
+    rank = 0
+    for k in range(size):
+        r, c = _unit_pivot(ring, rows, k, k + 1 if inverse else size)
+        if r is None:
+            if inverse:
+                raise NotInvertibleError("linear part is singular")
+            break
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            scalar = -scalar
+        if c != k:
+            for row in rows:
+                row[k], row[c] = row[c], row[k]
+            scalar = -scalar
+        lam = rows[k][k].constant_term()
+        scalar = ring.normalize(scalar * lam)
+        lam_inv = ring.invert(lam)
+        pivot_row = rows[k] = [e.scale(lam_inv) for e in rows[k]]
+        for i, row in enumerate(rows):
+            coeff = row[k].constant_term()
+            if i != k and coeff:
+                rows[i] = [x + y.scale(-coeff) if y else x for x, y in zip(row, pivot_row)]
+        rank = k + 1
+    det = GrassmannElement.scalar(ring, n, scalar)
+    width = len(rows[0])
+    for k in range(rank):
+        pivot_row = rows[k]
+        det = det * pivot_row[k]
+        pivot_inv = invert_unit(pivot_row[k])
+        # column k is never read again, so it is left uncleared
+        for j in range(k + 1, width):
+            if pivot_row[j]:
+                pivot_row[j] = pivot_row[j] * pivot_inv
+        for i in range(0 if inverse else k + 1, size):
+            row = rows[i]
+            f = row[k]
+            if i == k or not f:
+                continue
+            for j in range(k + 1, width):
+                if pivot_row[j]:
+                    row[j] = row[j] - f * pivot_row[j]
+    if rank < size:
+        det = det * _det_central(ring, n, [row[rank:] for row in rows[rank:]])
+    return det, ([row[size:] for row in rows] if inverse else None)
+
+
+def _unit_pivot(ring: Ring, rows, k: int, col_end: int):
+    """First (row, column) at or past (k, k) with a unit constant term,
+    scanning columns k..col_end-1 in order; (None, None) if there is none."""
+    for c in range(k, col_end):
+        for r in range(k, len(rows)):
+            if ring.is_unit(rows[r][c].constant_term()):
+                return r, c
+    return None, None
+
+
 def _det_central(ring: Ring, n: int, matrix) -> GrassmannElement:
-    """Cofactor determinant of a matrix of even (central) elements."""
+    """Cofactor determinant of a matrix of even (central) elements.
+
+    O(size * 2^size) products: ``_eliminate`` uses it only on the block
+    left without unit pivots, and the tests use it as the reference.
+    """
     size = len(matrix)
     memo: dict[int, GrassmannElement] = {}
 
@@ -341,16 +430,6 @@ def _det_central(ring: Ring, n: int, matrix) -> GrassmannElement:
         return value
 
     return rec((1 << size) - 1)
-
-
-def _minor_central(ring: Ring, n: int, matrix, skip_row: int, skip_col: int) -> GrassmannElement:
-    sub = [
-        [matrix[r][c] for c in range(len(matrix)) if c != skip_col]
-        for r in range(len(matrix)) if r != skip_row
-    ]
-    if not sub:
-        return GrassmannElement.one(ring, n)
-    return _det_central(ring, n, sub)
 
 
 # -- constructors ----------------------------------------------------------

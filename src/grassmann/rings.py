@@ -18,16 +18,36 @@ class NotAUnitError(ZeroDivisionError):
     """Raised when inverting a non-unit coefficient or element."""
 
 
+# Deterministic Miller-Rabin: the prime bases up to 41 decide primality of
+# every integer below _MR_LIMIT (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MR_LIMIT:
+        raise ValueError(
+            f"cannot decide whether {p} is prime: the primality test is exact "
+            f"only below {_MR_LIMIT}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

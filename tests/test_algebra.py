@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from grassmann.algebra import (
     parse_element,
     substitute_zero,
 )
-from grassmann.rings import GF, QQ, NotAUnitError
+from grassmann.rings import GF, QQ, NotAUnitError, PrimeField, _is_prime
 from grassmann.sampling import random_element, random_odd
 
 
@@ -271,6 +272,35 @@ class TestGrammar:
         with pytest.raises(ValueError):
             parse_element(QQ, 4, "x5")
 
+    @pytest.mark.parametrize("text", [
+        "x1 - x1", "x1 + x1", "x1 - x1 + x1", "2*x1x2 - 3*x1x2 + x1x2 + x3",
+        "1 + 1 - 2 + x2", "3*x1 + 4*x1 - x2 + x1", "x3 - 5*x1x2 + 5*x1x2 + 1",
+        "0*x1 + x2 - -x2"])
+    def test_repeated_monomials_sum_termwise(self, ring, text):
+        # reference: the signed terms parsed one by one and added in order
+        ref = GrassmannElement.zero(ring, 3)
+        for term in text.replace("- -", "+").replace("-", "+-").split("+"):
+            if term.strip():
+                ref = ref + parse_element(ring, 3, term)
+        got = parse_element(ring, 3, text)
+        assert got == ref
+        assert list(got.terms.items()) == list(ref.terms.items())
+
+    def test_repeated_monomials_examples(self):
+        assert parse_element(QQ, 3, "x1 - x1") == GrassmannElement.zero(QQ, 3)
+        assert parse_element(QQ, 3, "x2 + x1 + x1") == parse_element(QQ, 3, "2*x1 + x2")
+        assert parse_element(GF(7), 3, "3*x1 + 4*x1 - x2") == parse_element(GF(7), 3, "6*x2")
+
+    def test_parse_is_linear_in_the_term_count(self):
+        n = 14
+        e = GrassmannElement(QQ, n, {m: Fraction(m % 7 - 3, 1 + m % 2) or 1
+                                     for m in range(1 << n)})
+        text = format_element(e)
+        t0 = time.perf_counter()
+        got = parse_element(QQ, n, text)
+        assert time.perf_counter() - t0 < 1.0
+        assert got == e
+
 
 class TestBounds:
     def test_generator_cap(self):
@@ -286,6 +316,28 @@ class TestBounds:
             GF(2)
         with pytest.raises(ValueError):
             GF(9)
+
+    def test_primality_matches_trial_division(self):
+        for p in range(-3, 3000):
+            want = p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+            assert _is_prime(p) == want, p
+
+    def test_large_prime_modulus_accepted_fast(self):
+        t0 = time.perf_counter()
+        ring = PrimeField(10 ** 18 + 3)
+        assert time.perf_counter() - t0 < 0.1
+        assert ring.normalize(ring.invert(2) * 2) == 1
+
+    @pytest.mark.parametrize("p", [561, 3215031751])
+    def test_pseudoprimes_rejected(self, p):
+        # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+        # the bases 2, 3, 5 and 7
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(p)
+
+    def test_primality_limit_is_named(self):
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            PrimeField(2 ** 89 - 1)  # a Mersenne prime above the exact range
 
     def test_prime_field_parses_fractions(self):
         ring = GF(7)

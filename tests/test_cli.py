@@ -199,6 +199,18 @@ class TestFieldValidation:
         assert code == 2
         assert "2" in err
 
+    def test_large_prime_field(self, capsys):
+        code, out, _ = run_cli(capsys, "mul", "--n", "2", "--field",
+                               "prime:1000000000000000003", "x2", "x1")
+        assert code == 0
+        assert out == "1000000000000000002*x1x2"
+
+    def test_primality_limit_fails_fast(self, capsys):
+        code, _, err = run_cli(capsys, "mul", "--n", "2", "--field",
+                               f"prime:{2 ** 89 - 1}", "x1", "x2")
+        assert code == 2
+        assert "only below" in err
+
     def test_module_entry_point(self):
         import subprocess
         import sys

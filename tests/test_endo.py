@@ -5,10 +5,13 @@ from grassmann.algebra import (
     invert_unit,
     parse_element,
 )
+from grassmann import endo as endo_module
 from grassmann.endo import (
     Endomorphism,
     NotInvertibleError,
     ParityError,
+    _det_central,
+    _eliminate,
     coordinate_shift,
     format_endomorphism,
     identity_endo,
@@ -23,6 +26,7 @@ from grassmann.sampling import (
     random_gamma,
     random_gamma_gl,
     random_invertible_matrix,
+    random_linear,
     random_odd,
     random_omega,
     spawn,
@@ -140,6 +144,101 @@ class TestJacobian:
         assert sigma.jacobian().valuation == 2
         tau = endo(ring, n, "x1 -> x1 + x2x3x4; x2 -> x2; x3 -> x3; x4 -> x4")
         assert tau.jacobian().valuation == 2 * (n // 2) + 2
+
+
+class TestEliminationKernel:
+    """Unit-pivot elimination against the cofactor expansion as oracle."""
+
+    FIELDS = [QQ, GF(7), GF(3)]
+
+    @staticmethod
+    def gl(rng, ring, n):
+        # shifts need degree >= 3, so below n = 3 only the linear factor exists
+        return random_gamma_gl(rng, ring, n) if n >= 3 else random_linear(rng, ring, n)
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_invertible_linear_part(self, ring, n):
+        rng = spawn(41, "kernel-gl", n, str(ring))
+        for _ in range(3):
+            sigma = self.gl(rng, ring, n)
+            jac = sigma.jacobian()
+            assert jac.det == _det_central(ring, n, jac.matrix)
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_random_odd_images(self, ring, n):
+        # random odd images; dropping the linear term of one image makes the
+        # linear part singular, so the nilpotent remainder path runs too
+        rng = spawn(41, "kernel-odd", n, str(ring))
+        singular = 0
+        for k in range(6):
+            images = [random_odd(rng, ring, n, terms=3) for _ in range(n)]
+            if k % 2:
+                no_linear = (random_odd(rng, ring, n, min_degree=3, terms=3) if n >= 3
+                             else GrassmannElement.zero(ring, n))
+                images[rng.randrange(n)] = no_linear
+            sigma = Endomorphism(images, check=False)
+            singular += not is_automorphism(sigma)
+            jac = sigma.jacobian()
+            assert jac.det == _det_central(ring, n, jac.matrix)
+        assert singular >= 3
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_random_even_matrices(self, ring):
+        # entries with arbitrary (often non-unit) constant terms
+        rng = spawn(41, "kernel-even", str(ring))
+        for n in range(1, 7):
+            for _ in range(4):
+                matrix = [[random_element(rng, ring, n, degrees=range(0, n + 1, 2),
+                                          terms=2) for _ in range(n)]
+                          for _ in range(n)]
+                det, _ = _eliminate(ring, n, matrix)
+                assert det == _det_central(ring, n, matrix)
+
+    def test_nilpotent_remainder_fixed_cases(self, ring):
+        sigma = endo(ring, 3, "x1 -> x1x2x3; x2 -> x2; x3 -> x3")
+        assert sigma.jacobian().det == parse_element(ring, 3, "x2x3")
+        # a 2x2 block without unit entries is left after four pivots
+        sigma = endo(ring, 6, "x1 -> x1x3x4; x2 -> x2x5x6; x3 -> x3; "
+                              "x4 -> x4; x5 -> x5; x6 -> x6")
+        jac = sigma.jacobian()
+        assert jac.det == parse_element(ring, 6, "x3x4x5x6")
+        assert jac.det == _det_central(ring, 6, jac.matrix)
+        assert jac.valuation == 4
+
+    def test_cofactor_not_run_on_invertible_linear_part(self, ring, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cofactor expansion on an invertible linear part")
+
+        monkeypatch.setattr(endo_module, "_det_central", refuse)
+        rng = spawn(41, "kernel-no-cofactor", str(ring))
+        for n in (4, 7):
+            sigma = random_gamma_gl(rng, ring, n)
+            sigma.jacobian()
+            sigma.dual_skew_partial(1, sigma.images[0])
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_cached_inverse_rows(self, ring, n):
+        rng = spawn(41, "kernel-inverse", n, str(ring))
+        one = GrassmannElement.one(ring, n)
+        zero = GrassmannElement.zero(ring, n)
+        sigma = self.gl(rng, ring, n)
+        jac = sigma.jacobian().matrix
+        rows_t = sigma._dual_data()  # rows_t[i][j] = (J^-1)[j][i]
+        for i in range(n):
+            for j in range(n):
+                acc = zero
+                for t in range(n):
+                    acc = acc + jac[i][t] * rows_t[j][t]
+                assert acc == (one if i == j else zero)
+
+    def test_singular_linear_part_raises(self, ring):
+        sigma = Endomorphism([gen(ring, 2, 2), gen(ring, 2, 2)], check=False)
+        assert sigma.jacobian().det == GrassmannElement.zero(ring, 2)
+        with pytest.raises(NotInvertibleError, match="linear part is singular"):
+            sigma.dual_skew_partial(1, gen(ring, 2, 1))
 
 
 class TestDualDerivatives:
