@@ -4,11 +4,21 @@ Elements are sparse maps from bitmask monomials to coefficients.  Bit ``i-1``
 of a mask records the presence of the generator ``x_i``; a mask always denotes
 the product of its generators in ascending index order, which fixes every sign
 in the library.
+
+The product makes no coefficient object per pair of terms.  Each operand is
+written once as integer numerators over a common denominator (the lcm of its
+denominators over QQ, 1 over GF(p)); the inner loop multiplies and adds plain
+ints, and one coefficient is built per output term.  The sign of
+``mask1 * mask2`` is the parity of the pairs (i in mask1, j in mask2) with
+i > j: with ``q`` the suffix-parity mask of ``mask1`` (bit j set when mask1
+has an odd number of bits above j), it is ``(mask2 & q).bit_count() & 1``.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .rings import Coefficient, NotAUnitError, Ring
@@ -58,17 +68,45 @@ def mask_str(mask: int) -> str:
     return "".join(f"x{i}" for i in mask_indices(mask)) if mask else "1"
 
 
-def merge_swaps(a: int, b: int) -> int:
-    """Number of transpositions needed to sort the concatenation of masks a, b.
+def numerators(e: "GrassmannElement"):
+    """``(items, d)``: the terms of e as (mask, int numerator) over one denominator d.
 
-    Counts pairs (i in a, j in b) with i > j; the product sign is (-1)**swaps.
+    Over GF(p) the coefficients already are ints and d is 1.  Over QQ, d is
+    the lcm of the denominators; that form is computed once per element and
+    cached, since elements are immutable and operands recur (images, matrix
+    entries).
     """
-    swaps = 0
-    while b:
-        low = b & -b
-        swaps += (a >> low.bit_length()).bit_count()
-        b ^= low
-    return swaps
+    if e._num is not None:
+        return e._num
+    terms = e.terms
+    if e.ring.modulus is not None:
+        return terms.items(), 1
+    if len(terms) == 1:
+        # monomials and scalars, the commonest operands: no lcm or rescaling
+        (m, c), = terms.items()
+        a, d = c.as_integer_ratio()
+        num = [(m, a)], d
+    else:
+        ratios = [c.as_integer_ratio() for c in terms.values()]
+        d = lcm(*[q for _, q in ratios])
+        if d == 1:
+            num = [(m, a) for m, (a, _) in zip(terms, ratios)], 1
+        else:
+            num = [(m, a * (d // q)) for m, (a, q) in zip(terms, ratios)], d
+    e._num = num
+    return num
+
+
+def from_numerators(ring: Ring, n: int, acc: dict, d: int) -> "GrassmannElement":
+    """The element with coefficients acc[mask] / d, zero terms dropped."""
+    p = ring.modulus
+    if p is not None:
+        out = {m: cb for m, c in acc.items() if (cb := c % p)}
+    elif d == 1:
+        out = {m: Fraction(c) for m, c in acc.items() if c}
+    else:
+        out = {m: Fraction(c, d) for m, c in acc.items() if c}
+    return GrassmannElement(ring, n, out, _raw=True)
 
 
 class GrassmannElement:
@@ -78,7 +116,7 @@ class GrassmannElement:
     and must not be mutated.
     """
 
-    __slots__ = ("ring", "n", "terms", "_hash")
+    __slots__ = ("ring", "n", "terms", "_hash", "_num")
 
     def __init__(self, ring: Ring, n: int, terms=None, *, _raw: bool = False):
         if not 1 <= n <= MAX_GENERATORS:
@@ -99,6 +137,7 @@ class GrassmannElement:
             terms = clean
         self.terms = terms
         self._hash = None
+        self._num = None
 
     # -- constructors ------------------------------------------------------
 
@@ -183,23 +222,26 @@ class GrassmannElement:
         if not isinstance(other, GrassmannElement):
             return self.scale(other)
         self._check_compatible(other)
-        p = self.ring.modulus
-        out: dict[int, Coefficient] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        left, da = numerators(self)
+        right, db = numerators(other)
+        out: dict[int, int] = {}
+        for m1, c1 in left:
+            # bit j of q: parity of the bits of m1 above j (n <= 16)
+            q = m1 >> 1
+            q ^= q >> 1
+            q ^= q >> 2
+            q ^= q >> 4
+            q ^= q >> 8
+            for m2, c2 in right:
                 if m1 & m2:
                     continue
                 c = c1 * c2
-                if merge_swaps(m1, m2) & 1:
+                if (m2 & q).bit_count() & 1:
                     c = -c
                 m = m1 | m2
                 acc = out.get(m)
                 out[m] = c if acc is None else acc + c
-        if p is None:
-            out = {m: c for m, c in out.items() if c != 0}
-        else:
-            out = {m: cb for m, c in out.items() if (cb := c % p)}
-        return GrassmannElement(self.ring, self.n, out, _raw=True)
+        return from_numerators(self.ring, self.n, out, da * db)
 
     def __rmul__(self, other):
         # scalar * element; scalar coefficients commute with everything

@@ -8,17 +8,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import (
     DimensionMismatchError,
     GrassmannElement,
     format_element,
     element_to_json,
+    even_part,
+    from_numerators,
     invert_unit,
+    numerators,
     odd_part,
     parse_element,
 )
-from .rings import Ring, mat_det, mat_inv
+from .rings import NotAUnitError, Ring, mat_det, mat_inv
 from .skewcalc import skew_partial
 
 
@@ -62,14 +66,24 @@ class Endomorphism:
             self._check_well_defined()
 
     def _check_well_defined(self) -> None:
-        # the images must satisfy the defining relations of the generators
-        zero = GrassmannElement.zero(self.ring, self.n)
-        for i, im in enumerate(self.images):
-            if im * im != zero:
+        """The images must satisfy the defining relations of the generators.
+
+        Write y_i = o_i + e_i (odd plus even part).  Odd elements square to
+        zero and anticommute, even ones are central and 2 is a unit, so
+        y_i^2 = e_i (2 o_i + e_i) and {y_i, y_j} = 2 (o_i e_j + e_i y_j):
+        only images with an even part need products.
+        """
+        evens = [even_part(im) for im in self.images]
+        if not any(evens):
+            return
+        odds = [im - e for im, e in zip(self.images, evens)]
+        for i, (o, e) in enumerate(zip(odds, evens)):
+            if e and e * (o + o + e):
                 raise ValueError(f"image of x{i + 1} does not square to zero")
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                if self.images[i] * self.images[j] + self.images[j] * self.images[i] != zero:
+                if ((evens[i] or evens[j])
+                        and odds[i] * evens[j] + evens[i] * self.images[j]):
                     raise ValueError(
                         f"images of x{i + 1} and x{j + 1} do not anticommute")
 
@@ -89,19 +103,24 @@ class Endomorphism:
     def apply(self, e: GrassmannElement) -> GrassmannElement:
         if e.n != self.n or e.ring != self.ring:
             raise DimensionMismatchError("element/endomorphism dimension mismatch")
-        p = self.ring.modulus
-        out: dict = {}
-        for mask, c in e.terms.items():
-            prod = self._product(mask)
-            for m2, c2 in prod.terms.items():
+        # sum of c * product(mask) in integer numerators over d * big, with
+        # big the lcm of the denominators of the products seen so far
+        coeffs, d = numerators(e)
+        out: dict[int, int] = {}
+        big = 1
+        for mask, c in coeffs:
+            items, dp = numerators(self._product(mask))
+            if big % dp:
+                grow = lcm(big, dp) // big
+                big *= grow
+                for m2 in out:
+                    out[m2] *= grow
+            c *= big // dp
+            for m2, c2 in items:
                 acc = out.get(m2)
                 v = c * c2
                 out[m2] = v if acc is None else acc + v
-        if p is None:
-            out = {m: c for m, c in out.items() if c != 0}
-        else:
-            out = {m: cb for m, c in out.items() if (cb := c % p)}
-        return GrassmannElement(self.ring, self.n, out, _raw=True)
+        return from_numerators(self.ring, self.n, out, d * big)
 
     __call__ = apply
 
@@ -237,10 +256,10 @@ class Endomorphism:
     def _inverse_iteration(self) -> "Endomorphism":
         """Peel off the linear part, then resubstitute the tail to a fixpoint."""
         ring, n = self.ring, self.n
-        a = self.linear_part()
-        if mat_det(ring, a) == 0:
-            raise NotInvertibleError("linear part is singular")
-        a_inv = mat_inv(ring, a)
+        try:
+            a_inv = mat_inv(ring, self.linear_part())
+        except NotAUnitError:
+            raise NotInvertibleError("linear part is singular") from None
         lin_inv = linear_endo(ring, a_inv)
         tau = self.compose(lin_inv)  # tau(x_i) = x_i + higher terms
         gens = [GrassmannElement.generator(ring, n, i + 1) for i in range(n)]

@@ -64,12 +64,17 @@ def random_linear(rng, ring, n: int) -> Endomorphism:
 
 
 def random_gamma(rng, ring, n: int, *, terms: int = 3) -> Endomorphism:
-    """A random odd shift automorphism: x_i + (odd element of degrees >= 3)."""
+    """A random odd shift automorphism: x_i + (odd element of degrees >= 3).
+
+    For n <= 2 there is no odd degree >= 3, so the group is trivial and the
+    identity is returned.
+    """
+    degrees = [d for d in range(3, n + 1) if d % 2]
+    if not degrees:
+        return identity_endo(ring, n)
     images = []
     for i in range(1, n + 1):
-        shift = random_element(rng, ring, n,
-                               degrees=[d for d in range(3, n + 1) if d % 2],
-                               terms=terms)
+        shift = random_element(rng, ring, n, degrees=degrees, terms=terms)
         images.append(GrassmannElement.generator(ring, n, i) + shift)
     return Endomorphism(images, check=False)
 

@@ -986,9 +986,25 @@ def check_n3_law_random(ring: Ring, samples: int, seed) -> CheckResult:
 # ---------------------------------------------------------------------------
 # suites
 
+class SuiteSizeError(ValueError):
+    """The generator count is below the smallest one a suite supports."""
+
+
+# smallest n each suite samples at; the others run from n = 1.  The solvers
+# need two generators, the ascent checks an even n >= 4 (n + 1 for odd n),
+# and Sigma words and the preimage construction need n >= 4.
+SUITE_MIN_N = {"solvers": 2, "ascents": 3, "groups": 4, "preimage": 4}
+
+
 def run_suite(suite: str, *, n: int = 5, ring: Ring = None, samples: int = 25,
               seed=0) -> list[CheckResult]:
     ring = ring if ring is not None else GF(7)
+    if suite == "all":
+        need = max(SUITE_MIN_N.values())
+    else:
+        need = SUITE_MIN_N.get(suite, 1)
+    if n < need:
+        raise SuiteSizeError(f"suite {suite!r} needs n >= {need}, got n={n}")
     small = max(4, samples // 5)
     results = []
 

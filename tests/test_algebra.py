@@ -49,12 +49,33 @@ class TestMultiplication:
         with pytest.raises(ValueError):
             gen(ring, 3, 1) * gen(ring, 4, 1)
 
-    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("n", [4, 6, 10, 16])
+    @pytest.mark.parametrize("ring", [QQ, GF(7), GF(3)], ids=["QQ", "GF7", "GF3"])
     def test_against_brute_force(self, ring, rng, n):
         for _ in range(40):
             e = random_element(rng, ring, n, terms=4)
             f = random_element(rng, ring, n, terms=4)
             assert e * f == brute_force_product(e, f)
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 16])
+    def test_against_brute_force_coprime_denominators(self, rng, n):
+        # the integer-numerator kernel scales by lcms of these denominators
+        # and reduces each output term; the letter product does neither
+        pool = [Fraction(-13, 6), Fraction(5, 11), Fraction(1, 7),
+                Fraction(-9, 4), Fraction(22, 15), Fraction(3), Fraction(-1)]
+        for _ in range(40):
+            e, f = (GrassmannElement(QQ, n, {rng.randrange(1 << n): rng.choice(pool)
+                                             for _ in range(6)})
+                    for _ in range(2))
+            assert e * f == brute_force_product(e, f)
+
+    def test_cancelling_denominators(self):
+        # 6 * (1/6) and 1/2 - 1/2: the output is built from the reduced
+        # numerators, so exact zeros and integers come out as such
+        x = parse_element(QQ, 3, "1/6*x1 + 1/2*x2")
+        y = parse_element(QQ, 3, "6*x3 - x1 - 3*x2")
+        assert x * y == parse_element(QQ, 3, "x1x3 + 3*x2x3")
+        assert (x * y).coefficient(0b101) == Fraction(1)
 
     def test_associativity_random(self, ring, rng):
         for n in (4, 6, 8):

@@ -6,6 +6,7 @@ from grassmann.cli import main
 from grassmann.algebra import parse_element
 from grassmann.endo import parse_endomorphism
 from grassmann.rings import GF, QQ
+from grassmann.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,17 @@ class TestVerifyCommand:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_small_n_passes_or_fails_fast(self, capsys, suite, n):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", str(n),
+                                 "--samples", "2")
+        if code == 2:
+            assert err.startswith("error: suite ") and f"got n={n}" in err
+            assert "Traceback" not in err
+        else:
+            assert code == 0 and "FAIL" not in out
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "n3",

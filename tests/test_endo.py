@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from conftest import brute_force_product
 from grassmann.algebra import (
     GrassmannElement,
     invert_unit,
@@ -107,6 +110,96 @@ class TestApplyCompose:
         bad = [gen(ring, 2, 1) + GrassmannElement.one(ring, 2), gen(ring, 2, 2)]
         with pytest.raises(ValueError):
             Endomorphism(bad)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+    def test_apply_against_oracle_products(self, field):
+        # sigma(e) = sum of c * (letter-word product of the images in mask)
+        rng = spawn(5, "apply-oracle", str(field))
+        n = 5
+        coeffs = [field.normalize(c) for c in
+                  (Fraction(-13, 6), Fraction(5, 11), Fraction(1, 7), 2, -1)]
+        for _ in range(8):
+            sigma = random_omega(rng, field, n, terms=2).compose(
+                random_gamma_gl(rng, field, n))
+            e = GrassmannElement(field, n, {rng.randrange(1 << n): rng.choice(coeffs)
+                                            for _ in range(10)})
+            want = GrassmannElement.zero(field, n)
+            for mask, c in e.terms.items():
+                prod = GrassmannElement.one(field, n)
+                for i in range(n):
+                    if mask >> i & 1:
+                        prod = brute_force_product(prod, sigma.images[i])
+                want = want + prod.scale(c)
+            assert sigma.apply(e) == want
+
+
+def all_pairs_error(images):
+    """Reference well-definedness check: every square and every anticommutator."""
+    for i, y in enumerate(images):
+        if y * y:
+            return f"image of x{i + 1} does not square to zero"
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            if images[i] * images[j] + images[j] * images[i]:
+                return f"images of x{i + 1} and x{j + 1} do not anticommute"
+    return None
+
+
+def constructor_error(images):
+    try:
+        Endomorphism(images)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class TestWellDefinedness:
+    def test_square_message(self, ring):
+        bad = [gen(ring, 3, 1), gen(ring, 3, 2) + gen(ring, 3, 1) * gen(ring, 3, 3),
+               gen(ring, 3, 3)]
+        with pytest.raises(ValueError, match="^image of x2 does not square to zero$"):
+            Endomorphism(bad)
+
+    def test_anticommute_message(self, ring):
+        # x1x2 squares to zero but commutes with x3 instead of anticommuting
+        bad = [gen(ring, 3, 1), gen(ring, 3, 1) * gen(ring, 3, 2), gen(ring, 3, 3)]
+        with pytest.raises(ValueError,
+                           match="^images of x2 and x3 do not anticommute$"):
+            Endomorphism(bad)
+
+    def test_squares_fire_before_pairs(self, ring):
+        # the pair (x1, x2) fails, and so does the square of x3
+        bad = [gen(ring, 3, 1) * gen(ring, 3, 2), gen(ring, 3, 3),
+               gen(ring, 3, 3) + GrassmannElement.one(ring, 3)]
+        assert all_pairs_error(bad) == "image of x3 does not square to zero"
+        assert constructor_error(bad) == "image of x3 does not square to zero"
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(7)],
+                             ids=["QQ", "GF3", "GF5", "GF7"])
+    def test_even_part_check_matches_all_pairs(self, field):
+        # odd images, conjugated images (odd plus even parts) and mixed
+        # random images; the same error, or none, from both checks
+        rng = spawn(11, "well-defined", str(field))
+        outcomes = set()
+        for n in range(1, 8):
+            one = GrassmannElement.one(field, n)
+            for _ in range(24):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    images = [random_odd(rng, field, n, terms=2) for _ in range(n)]
+                elif kind == 1:
+                    images = list(inner(one + random_odd(rng, field, n, terms=2)).images)
+                else:
+                    images = [gen(field, n, i) for i in range(1, n + 1)]
+                    for _ in range(kind):
+                        i = rng.randrange(n)
+                        degrees = [0, 1, 2] if rng.random() < 0.2 else [1, 2, 3]
+                        images[i] = images[i] + random_element(
+                            rng, field, n, degrees=degrees, terms=1)
+                want = all_pairs_error(images)
+                assert constructor_error(images) == want
+                outcomes.add(want.split()[0] if want else None)
+        assert outcomes == {None, "image", "images"}
 
 
 class TestJacobian:
@@ -317,7 +410,7 @@ class TestInverse:
 
     def test_singular_rejected(self, ring):
         sigma = Endomorphism([gen(ring, 2, 2), gen(ring, 2, 2)], check=False)
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(NotInvertibleError, match="linear part is singular"):
             sigma.inverse("iteration")
 
 
@@ -410,3 +503,12 @@ class TestEndoGrammar:
     def test_newline_separators(self, ring):
         sigma = parse_endomorphism(ring, 2, "x1 -> x1\nx2 -> x2")
         assert sigma == identity_endo(ring, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_gamma_is_identity_without_odd_degrees(ring, rng, n):
+    # Gamma needs an odd degree >= 3, so it is trivial for n <= 2
+    assert random_gamma(rng, ring, n) == identity_endo(ring, n)
+    sigma = random_gamma_gl(rng, ring, n)
+    assert all(im.is_homogeneous(1) for im in sigma.images)
+    assert is_automorphism(sigma)
