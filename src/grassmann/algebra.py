@@ -12,6 +12,7 @@ ints, and one coefficient is built per output term.  The sign of
 ``mask1 * mask2`` is the parity of the pairs (i in mask1, j in mask2) with
 i > j: with ``q`` the suffix-parity mask of ``mask1`` (bit j set when mask1
 has an odd number of bits above j), it is ``(mask2 & q).bit_count() & 1``.
+Sums of scalar multiples of elements go the same way through ``lincomb``.
 """
 
 from __future__ import annotations
@@ -107,6 +108,35 @@ def from_numerators(ring: Ring, n: int, acc: dict, d: int) -> "GrassmannElement"
     else:
         out = {m: Fraction(c, d) for m, c in acc.items() if c}
     return GrassmannElement(ring, n, out, _raw=True)
+
+
+def lincomb(ring: Ring, n: int, pairs) -> "GrassmannElement":
+    """The sum of c * e over (scalar, element) pairs.
+
+    Accumulates integer numerators over ``big``, the lcm of the denominators
+    of the terms c * e seen so far (1 over GF(p)); the accumulator is
+    rescaled when ``big`` grows, and one coefficient is built per output term.
+    """
+    p = ring.modulus
+    out: dict[int, int] = {}
+    big = 1
+    for c, e in pairs:
+        if not c:
+            continue
+        a, q = (c, 1) if p is not None else c.as_integer_ratio()
+        items, dp = numerators(e)
+        den = q * dp
+        if big % den:
+            grow = lcm(big, den) // big
+            big *= grow
+            for m in out:
+                out[m] *= grow
+        a *= big // den
+        for m, c2 in items:
+            acc = out.get(m)
+            v = a * c2
+            out[m] = v if acc is None else acc + v
+    return from_numerators(ring, n, out, big)
 
 
 class GrassmannElement:
@@ -344,11 +374,6 @@ def substitute_zero(e: GrassmannElement, indices: Iterable[int]) -> GrassmannEle
     mask = indices_mask(indices)
     out = {m: c for m, c in e.terms.items() if not (m & mask)}
     return GrassmannElement(e.ring, e.n, out, _raw=True)
-
-
-def evaluate_at_zero(e: GrassmannElement):
-    """The coefficient ring value e(0, ..., 0)."""
-    return substitute_zero(e, range(1, e.n + 1)).constant_term()
 
 
 def invert_unit(e: GrassmannElement) -> GrassmannElement:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
 
 from .algebra import (
     DimensionMismatchError,
@@ -16,13 +15,12 @@ from .algebra import (
     format_element,
     element_to_json,
     even_part,
-    from_numerators,
     invert_unit,
-    numerators,
+    lincomb,
     odd_part,
     parse_element,
 )
-from .rings import NotAUnitError, Ring, mat_det, mat_inv
+from .rings import NotAUnitError, Ring, gauss_jordan, mat_det, mat_inv
 from .skewcalc import skew_partial
 
 
@@ -103,24 +101,8 @@ class Endomorphism:
     def apply(self, e: GrassmannElement) -> GrassmannElement:
         if e.n != self.n or e.ring != self.ring:
             raise DimensionMismatchError("element/endomorphism dimension mismatch")
-        # sum of c * product(mask) in integer numerators over d * big, with
-        # big the lcm of the denominators of the products seen so far
-        coeffs, d = numerators(e)
-        out: dict[int, int] = {}
-        big = 1
-        for mask, c in coeffs:
-            items, dp = numerators(self._product(mask))
-            if big % dp:
-                grow = lcm(big, dp) // big
-                big *= grow
-                for m2 in out:
-                    out[m2] *= grow
-            c *= big // dp
-            for m2, c2 in items:
-                acc = out.get(m2)
-                v = c * c2
-                out[m2] = v if acc is None else acc + v
-        return from_numerators(self.ring, self.n, out, d * big)
+        return lincomb(self.ring, self.n,
+                       ((c, self._product(mask)) for mask, c in e.terms.items()))
 
     __call__ = apply
 
@@ -160,14 +142,6 @@ class Endomorphism:
 
     def has_odd_images(self) -> bool:
         return all(im == odd_part(im) for im in self.images)
-
-    def difference_min_degree(self) -> int:
-        """min over i of the lowest degree of images[i] - x_i (n+1 if identity)."""
-        best = self.n + 1
-        for i, im in enumerate(self.images):
-            d = (im - GrassmannElement.generator(self.ring, self.n, i + 1)).min_degree()
-            best = min(best, d)
-        return best
 
     # -- Jacobian ------------------------------------------------------------
 
@@ -220,16 +194,6 @@ class Endomorphism:
                 if d:
                     acc = acc + entry * d
         return acc
-
-    def dual_partial_word(self, e: GrassmannElement, mask: int) -> GrassmannElement:
-        """Composite dual derivative; highest index outermost, as for plain ones."""
-        i = 1
-        while mask and e:
-            if mask & 1:
-                e = self.dual_skew_partial(i, e)
-            mask >>= 1
-            i += 1
-        return e
 
     def new_coordinate_projection(self, e: GrassmannElement) -> GrassmannElement:
         """Projection onto K relative to the new coordinates sigma(x_i)."""
@@ -340,49 +304,35 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
     of the inverse (Gauss-Jordan on ``[matrix | I]``) when ``inverse`` is set
     and ``None`` otherwise.  Two passes:
 
-    1. Gauss-Jordan on the constant terms by scalar row operations (scalings
-       and sums, no element products).  For a linear part of rank r, the r
-       pivots become 1 + nilpotent and every other entry of their columns
-       becomes nilpotent, which keeps the products of the second pass sparse.
+    1. ``gauss_jordan`` on ``[J0 | I]``, with J0 the constant terms, gives the
+       scalar row-operation transform t and the column order ``cols``; the
+       rows become ``t * matrix`` with columns in that order, each entry one
+       ``lincomb``.  For a linear part of rank r, the r pivots become
+       1 + nilpotent and every other entry of their columns becomes
+       nilpotent, which keeps the products of the second pass sparse.
     2. Elimination of those r columns, dividing by the pivots with
        ``invert_unit``: O(n^3) element products.
 
-    Without ``inverse`` pivots are searched through the whole remaining block
-    (row and column swaps), so the block left without unit entries is
-    nilpotent; its determinant is the cofactor expansion.  With ``inverse`` a
-    column without a unit pivot raises ``NotInvertibleError``.
+    The pivot search covers the whole remaining block, so the block left
+    without unit entries is nilpotent; its determinant is the cofactor
+    expansion.  With ``inverse`` a rank below the size raises
+    ``NotInvertibleError``; otherwise no columns were swapped and t is
+    appended to the rows as scalars.
     """
     size = len(matrix)
-    one = GrassmannElement.one(ring, n)
-    rows = [list(row) for row in matrix]
+    j0 = [[e.constant_term() for e in row]
+          + [ring.one if j == i else ring.zero for j in range(size)]
+          for i, row in enumerate(matrix)]
+    # det(matrix) = scalar * det(rows) through pass 1
+    scalar, cols, rank = gauss_jordan(ring, j0, size)
+    if inverse and rank < size:
+        raise NotInvertibleError("linear part is singular")
+    t = [row[size:] for row in j0]
+    columns = [[row[c] for row in matrix] for c in cols]
+    rows = [[lincomb(ring, n, zip(t_row, col)) for col in columns] for t_row in t]
     if inverse:
-        zero = GrassmannElement.zero(ring, n)
-        for i, row in enumerate(rows):
-            row.extend(one if j == i else zero for j in range(size))
-    scalar = ring.one  # det(matrix) = scalar * det(rows) through pass 1
-    rank = 0
-    for k in range(size):
-        r, c = _unit_pivot(ring, rows, k, k + 1 if inverse else size)
-        if r is None:
-            if inverse:
-                raise NotInvertibleError("linear part is singular")
-            break
-        if r != k:
-            rows[k], rows[r] = rows[r], rows[k]
-            scalar = -scalar
-        if c != k:
-            for row in rows:
-                row[k], row[c] = row[c], row[k]
-            scalar = -scalar
-        lam = rows[k][k].constant_term()
-        scalar = ring.normalize(scalar * lam)
-        lam_inv = ring.invert(lam)
-        pivot_row = rows[k] = [e.scale(lam_inv) for e in rows[k]]
-        for i, row in enumerate(rows):
-            coeff = row[k].constant_term()
-            if i != k and coeff:
-                rows[i] = [x + y.scale(-coeff) if y else x for x, y in zip(row, pivot_row)]
-        rank = k + 1
+        for row, t_row in zip(rows, t):
+            row.extend(GrassmannElement.scalar(ring, n, x) for x in t_row)
     det = GrassmannElement.scalar(ring, n, scalar)
     width = len(rows[0])
     for k in range(rank):
@@ -404,16 +354,6 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
     if rank < size:
         det = det * _det_central(ring, n, [row[rank:] for row in rows[rank:]])
     return det, ([row[size:] for row in rows] if inverse else None)
-
-
-def _unit_pivot(ring: Ring, rows, k: int, col_end: int):
-    """First (row, column) at or past (k, k) with a unit constant term,
-    scanning columns k..col_end-1 in order; (None, None) if there is none."""
-    for c in range(k, col_end):
-        for r in range(k, len(rows)):
-            if ring.is_unit(rows[r][c].constant_term()):
-                return r, c
-    return None, None
 
 
 def _det_central(ring: Ring, n: int, matrix) -> GrassmannElement:
@@ -479,16 +419,6 @@ def coordinate_shift(ring: Ring, n: int, i: int, b: GrassmannElement,
     images = [GrassmannElement.generator(ring, n, k) for k in range(1, n + 1)]
     images[i - 1] = images[i - 1] + b
     return Endomorphism(images, check=check)
-
-
-def coordinate_scaling(ring: Ring, n: int, factors) -> Endomorphism:
-    """x_i -> x_i * (1 + a_i) for even x_i-free a_i (a_i may be zero)."""
-    images = []
-    for i in range(1, n + 1):
-        x = GrassmannElement.generator(ring, n, i)
-        a = factors[i - 1]
-        images.append(x if a is None or not a else x * (GrassmannElement.one(ring, n) + a))
-    return Endomorphism(images, check=False)
 
 
 def inner(u: GrassmannElement) -> Endomorphism:

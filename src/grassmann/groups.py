@@ -19,6 +19,7 @@ from .algebra import (
     element_to_json,
     indices_mask,
     invert_unit,
+    lincomb,
     mask_str,
     odd_part,
 )
@@ -39,8 +40,9 @@ from .linsolve import (
     layer_split,
     min_avoidance,
     solve_xi_system,
+    xi_particular,
 )
-from .rings import Ring, mat_inv, mat_vec
+from .rings import NotAUnitError, Ring, mat_inv
 from .skewcalc import apply_partial_word, skew_partial
 
 
@@ -507,22 +509,19 @@ def _avoidance(n: int, s: int) -> AvoidanceTable:
 def decompose_omega_gamma_linear(sigma: Endomorphism) -> OmegaGammaLinear:
     """Unique inner * shift * linear factorization of an automorphism."""
     ring, n = sigma.ring, sigma.n
-    if not is_automorphism(sigma):
-        raise NotInvertibleError("input is not an automorphism")
     a_mat = sigma.linear_part()
-    a_inv = mat_inv(ring, a_mat)
-    odd_images = mat_vec(ring, a_inv, [odd_part(im) for im in sigma.images])
-    b = [odd_images[i] - _gen(ring, n, i + 1) for i in range(n)]
+    try:
+        a_inv = mat_inv(ring, a_mat)
+    except NotAUnitError:
+        raise NotInvertibleError("input is not an automorphism") from None
+    odds = [odd_part(im) for im in sigma.images]
+    b = [lincomb(ring, n, zip(row, odds)) - _gen(ring, n, i + 1)
+         for i, row in enumerate(a_inv)]
     gamma = Endomorphism([_gen(ring, n, i + 1) + b[i] for i in range(n)],
                          check=False)
     gamma_inv = gamma.inverse()
-    even_images = [even_part(im) for im in sigma.images]
-    primed = mat_vec(ring, a_inv, [gamma_inv.apply(e) for e in even_images])
-    acc = skew_partial(1, primed[0])
-    for i in range(1, n):
-        prefix = (1 << i) - 1
-        body = apply_partial_word(skew_partial(i + 1, primed[i]), prefix)
-        acc = acc + GrassmannElement.monomial(ring, n, prefix) * body
+    evens = [gamma_inv.apply(even_part(im)) for im in sigma.images]
+    acc = xi_particular([lincomb(ring, n, zip(row, evens)) for row in a_inv])
     half = ring.invert(ring.from_int(2))
     a_raw = gamma.apply(acc).scale(-half)
     # the inner part lives in odd degrees 1..n-1

@@ -9,7 +9,7 @@ violations raise ``ConstraintError``.
 
 from __future__ import annotations
 
-from .algebra import GrassmannElement, indices_mask, odd_part
+from .algebra import GrassmannElement, indices_mask, lincomb, odd_part
 from .endo import (
     Endomorphism,
     coordinate_shift,
@@ -18,7 +18,7 @@ from .endo import (
     linear_endo,
 )
 from .groups import SIGMA, member
-from .rings import Ring, mat_det, mat_inv, mat_mul, mat_vec
+from .rings import Ring, mat_det, mat_inv, mat_mul
 
 
 class ConstraintError(ValueError):
@@ -306,7 +306,8 @@ def check_mul1(ring: Ring, n: int, a, b_images, mat_a, a2, b2_images, mat_a2) ->
     lin_a = linear_endo(ring, mat_a)
     new_a = a + gamma_b.compose(lin_a).apply(a2)
     a_inv = mat_inv(ring, mat_a)
-    transported = mat_vec(ring, a_inv, [lin_a.apply(img) for img in b2_images])
+    moved = [lin_a.apply(img) for img in b2_images]
+    transported = [lincomb(ring, n, zip(row, moved)) for row in a_inv]
     new_b_images = [gamma_b.apply(t) for t in transported]
     new_mat = mat_mul(ring, mat_a2, mat_a)
     rhs = _full_product(ring, n, new_a, new_b_images, new_mat)
@@ -322,7 +323,8 @@ def check_invabA(ring: Ring, n: int, a, b_images, mat_a) -> bool:
     a_inv_mat = mat_inv(ring, mat_a)
     lin_inv = linear_endo(ring, a_inv_mat)
     new_a = -lin_inv.compose(gamma_b_inv).apply(a)
-    new_b_images = mat_vec(ring, mat_a, [lin_inv.apply(img) for img in b_prime])
+    moved = [lin_inv.apply(img) for img in b_prime]
+    new_b_images = [lincomb(ring, n, zip(row, moved)) for row in mat_a]
     rhs = _full_product(ring, n, new_a, new_b_images, a_inv_mat)
     return sigma.inverse() == rhs
 

@@ -101,13 +101,22 @@ def solve_xi_system(u: list[GrassmannElement]) -> SolutionFamily:
                 raise SolvabilityError(
                     "anticommute", (i, j),
                     f"x{i}*u_{j} != -x{j}*u_{i}")
+    top = GrassmannElement.monomial(ring, n, (1 << n) - 1)
+    return SolutionFamily(particular=xi_particular(u), free_direction=top)
+
+
+def xi_particular(u: list[GrassmannElement]) -> GrassmannElement:
+    """The particular solution of x_i * a = u_i, without the solvability
+    checks of ``solve_xi_system``: d_1(u_1) plus, for i = 1..n-1,
+    x_1...x_i times the composite derivative over x_1..x_i of d_{i+1}(u_{i+1}).
+    """
+    ring, n = u[0].ring, len(u)
     acc = skew_partial(1, u[0])
     for i in range(1, n):
         prefix = (1 << i) - 1
         body = apply_partial_word(skew_partial(i + 1, u[i]), prefix)
         acc = acc + GrassmannElement.monomial(ring, n, prefix) * body
-    top = GrassmannElement.monomial(ring, n, (1 << n) - 1)
-    return SolutionFamily(particular=acc, free_direction=top)
+    return acc
 
 
 # -- the system d_i(a) = u_i --------------------------------------------------

@@ -4,6 +4,10 @@ Coefficient values are plain Python objects (``Fraction`` for the rationals,
 canonical ``int`` representatives in ``[0, p)`` for a prime field); the ring
 object supplies normalization, inversion, parsing and formatting.  Both rings
 are fields in which 2 is invertible, which the rest of the library assumes.
+
+``gauss_jordan`` is the one scalar elimination of the library: ``mat_det``
+and ``mat_inv`` wrap it, and so does the first pass of the local-ring
+elimination behind the Jacobian determinant (``endo._eliminate``).
 """
 
 from __future__ import annotations
@@ -204,66 +208,84 @@ def mat_mul(ring: Ring, a, b):
     return out
 
 
-def mat_vec(ring: Ring, a, v):
-    """Matrix times a vector whose entries may live in any K-module."""
-    out = []
-    for i in range(len(a)):
-        s = None
-        for j, vj in enumerate(v):
-            term = vj * a[i][j] if hasattr(vj, "terms") else a[i][j] * vj
-            s = term if s is None else s + term
-        out.append(s)
-    return out
+def gauss_jordan(ring: Ring, m, size: int):
+    """Gauss-Jordan on the first ``size`` columns of the ``size``-row matrix m.
+
+    Works in place on normalized coefficients; returns ``(scale, cols, rank)``
+    with ``cols[j]`` the original index of column j and ``scale`` the signed
+    product of the pivots, so the determinant is ``scale`` if ``rank == size``
+    and 0 otherwise.  Columns past ``size`` follow the row operations: append
+    nothing for the determinant, I for the inverse or the transform.
+
+    The pivot is the first nonzero entry of the remaining block, searched
+    column by column.  Invariant: on an invertible block the search never
+    leaves column k, so ``cols`` is the identity.  Entries below the pivots
+    are cleared first, those above them last and from the bottom pivot up,
+    so the determinant alone costs what Gaussian elimination does.  Row
+    operations skip the zero entries of the pivot row.
+    """
+    normalize = ring.normalize
+    zero = ring.zero
+
+    def clear(k, rows):  # zero column k of rows with multiples of row k
+        pivot_row = m[k]
+        nonzero = [j for j, y in enumerate(pivot_row) if y != 0 and j != k]
+        for row in rows:
+            f = row[k]
+            if f != 0:
+                row[k] = zero
+                for j in nonzero:
+                    row[j] = normalize(row[j] - f * pivot_row[j])
+
+    cols = list(range(size))
+    scale = ring.one
+    rank = 0
+    for k in range(size):
+        pivot = _first_nonzero(m, k, size)
+        if pivot is None:
+            break
+        r, c = pivot
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            scale = -scale
+        if c != k:
+            for row in m:
+                row[k], row[c] = row[c], row[k]
+            cols[k], cols[c] = cols[c], cols[k]
+            scale = -scale
+        lam = m[k][k]
+        scale = normalize(scale * lam)
+        lam_inv = ring.invert(lam)
+        m[k] = [normalize(y * lam_inv) if y != 0 else y for y in m[k]]
+        clear(k, m[k + 1:])
+        rank = k + 1
+    for k in reversed(range(1, rank)):
+        clear(k, m[:k])
+    return scale, cols, rank
+
+
+def _first_nonzero(m, k: int, size: int):
+    """First (row, column) at or past (k, k) holding a nonzero entry,
+    scanning columns in order; None if there is none."""
+    for c in range(k, size):
+        for r in range(k, size):
+            if m[r][c] != 0:
+                return r, c
+    return None
 
 
 def mat_det(ring: Ring, a) -> Coefficient:
-    """Determinant over K by fraction-free-enough Gaussian elimination (K is a field)."""
+    """Determinant over K, from ``gauss_jordan`` on a copy of a."""
     n = len(a)
-    m = [row[:] for row in a]
-    det = ring.one
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return ring.zero
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = ring.normalize(-det)
-        det = ring.normalize(det * m[col][col])
-        inv = ring.invert(m[col][col])
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = ring.normalize(m[r][col] * inv)
-                for c in range(col, n):
-                    m[r][c] = ring.normalize(m[r][c] - factor * m[col][c])
-    return det
+    scale, _, rank = gauss_jordan(ring, [row[:] for row in a], n)
+    return scale if rank == n else ring.zero
 
 
 def mat_inv(ring: Ring, a):
-    """Inverse of an invertible matrix over K (Gauss-Jordan)."""
+    """Inverse of an invertible matrix over K: ``gauss_jordan`` on [a | I]."""
     n = len(a)
     m = [row[:] + [ring.one if i == j else ring.zero for j in range(n)]
          for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise NotAUnitError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = ring.invert(m[col][col])
-        m[col] = [ring.normalize(x * inv) for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [ring.normalize(x - factor * y) for x, y in zip(m[r], m[col])]
+    if gauss_jordan(ring, m, n)[2] < n:
+        raise NotAUnitError("matrix is singular")
     return [row[n:] for row in m]
-
-
-def identity_matrix(ring: Ring, n: int):
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]

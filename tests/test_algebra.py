@@ -12,6 +12,7 @@ from grassmann.algebra import (
     format_element,
     involution,
     invert_unit,
+    lincomb,
     parse_element,
     substitute_zero,
 )
@@ -210,6 +211,52 @@ class TestSubstituteZero:
     def test_disjoint_index(self, ring):
         e = elem(ring, 3, "x1x2")
         assert substitute_zero(e, {3}) == e
+
+
+class TestLincomb:
+    """lincomb against scale-and-add as the oracle."""
+
+    @staticmethod
+    def oracle(ring, n, pairs):
+        acc = GrassmannElement.zero(ring, n)
+        for c, e in pairs:
+            acc = acc + e.scale(c)
+        return acc
+
+    def test_coprime_and_negative_denominators(self, rng):
+        n = 6
+        pool = [Fraction(-13, 6), Fraction(5, 11), Fraction(1, 7), Fraction(0),
+                Fraction(-9, 4), Fraction(3)]
+        for _ in range(40):
+            pairs = [(rng.choice(pool),
+                      GrassmannElement(QQ, n, {rng.randrange(1 << n): rng.choice(pool)
+                                               for _ in range(5)}))
+                     for _ in range(rng.randrange(1, 6))]
+            assert lincomb(QQ, n, pairs) == self.oracle(QQ, n, pairs)
+
+    @pytest.mark.parametrize("ring", [QQ, GF(7), GF(3)], ids=["QQ", "GF7", "GF3"])
+    def test_random_pairs(self, ring, rng):
+        n = 5
+        for _ in range(40):
+            pairs = [(ring.random(rng), random_element(rng, ring, n, terms=4))
+                     for _ in range(rng.randrange(1, 6))]
+            assert lincomb(ring, n, pairs) == self.oracle(ring, n, pairs)
+
+    def test_zero_coefficients_and_empty(self, ring):
+        zero = GrassmannElement.zero(ring, 3)
+        e = elem(ring, 3, "1 + x1x2")
+        assert lincomb(ring, 3, []) == zero
+        assert lincomb(ring, 3, [(ring.zero, e), (ring.one, zero)]) == zero
+        assert lincomb(ring, 3, [(ring.zero, e), (ring.from_int(2), e)]) == e.scale(2)
+        # full cancellation leaves no zero terms behind
+        assert lincomb(ring, 3, [(ring.one, e), (ring.from_int(-1), e)]).terms == {}
+
+    def test_cancelling_denominators(self):
+        x = parse_element(QQ, 3, "1/6*x1 + 1/2*x2")
+        y = parse_element(QQ, 3, "5/6*x1 + 1/3*x3")
+        out = lincomb(QQ, 3, [(Fraction(6), x), (Fraction(6, 5), y)])
+        assert out == parse_element(QQ, 3, "2*x1 + 3*x2 + 2/5*x3")
+        assert out.coefficient(0b001) == Fraction(2)
 
 
 class TestUnitInversion:

@@ -93,6 +93,15 @@ class TestDecomposeCommand:
         assert data["verified"] is True
         assert data["kind"] == "scaling-and-shifts"
 
+    @pytest.mark.parametrize("field", ["rational", "prime:7"])
+    def test_oga_non_automorphism(self, capsys, field):
+        code, out, err = run_cli(
+            capsys, "decompose", "--n", "3", "--mode", "oga", "--field", field,
+            "--endo", "x1 -> x1 + x2; x2 -> x1 + x2; x3 -> x3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: input is not an automorphism"
+
 
 class TestMemberCommand:
     def test_sigma_membership(self, capsys):

@@ -23,7 +23,7 @@ from grassmann.endo import (
     linear_endo,
     parse_endomorphism,
 )
-from grassmann.rings import GF, QQ, mat_mul
+from grassmann.rings import GF, QQ, gauss_jordan, mat_mul
 from grassmann.sampling import (
     random_element,
     random_gamma,
@@ -299,6 +299,21 @@ class TestEliminationKernel:
         assert jac.det == parse_element(ring, 6, "x3x4x5x6")
         assert jac.det == _det_central(ring, 6, jac.matrix)
         assert jac.valuation == 4
+
+    def test_column_swap_in_constant_part(self, ring):
+        # the constant terms have a zero first column and rank 2, so the
+        # scalar pivot search swaps columns before the nilpotent remainder
+        n = 4
+        matrix = [[parse_element(ring, n, text) for text in row] for row in (
+            ["x1x2", "1 + x3x4", "2"],
+            ["x3x4", "3", "1 + x1x3"],
+            ["x2x4 + x1x2x3x4", "1", "5 + x2x3"])]
+        constants = [[e.constant_term() for e in row] for row in matrix]
+        _, cols, rank = gauss_jordan(ring, constants, 3)
+        assert rank == 2 and cols[0] != 0
+        det, _ = _eliminate(ring, n, matrix)
+        assert det
+        assert det == _det_central(ring, n, matrix)
 
     def test_cofactor_not_run_on_invertible_linear_part(self, ring, monkeypatch):
         def refuse(*args):

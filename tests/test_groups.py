@@ -9,6 +9,7 @@ from grassmann.algebra import (
 )
 from grassmann.endo import (
     Endomorphism,
+    NotInvertibleError,
     coordinate_shift,
     identity_endo,
     inner,
@@ -312,6 +313,13 @@ class TestOmegaGammaLinear:
     def test_rejects_non_automorphism(self, ring):
         sigma = Endomorphism([gen(ring, 2, 2), gen(ring, 2, 2)], check=False)
         with pytest.raises(Exception):
+            decompose_omega_gamma_linear(sigma)
+
+    def test_non_automorphism_message(self, ring):
+        # odd images, so the map is well defined; its linear part is singular
+        sigma = parse_endomorphism(ring, 3, "x1 -> x1 + x2 + x1x2x3; x2 -> x1 + x2; "
+                                            "x3 -> x3")
+        with pytest.raises(NotInvertibleError, match="^input is not an automorphism$"):
             decompose_omega_gamma_linear(sigma)
 
 
