@@ -12,7 +12,8 @@ ints, and one coefficient is built per output term.  The sign of
 ``mask1 * mask2`` is the parity of the pairs (i in mask1, j in mask2) with
 i > j: with ``q`` the suffix-parity mask of ``mask1`` (bit j set when mask1
 has an odd number of bits above j), it is ``(mask2 & q).bit_count() & 1``.
-Sums of scalar multiples of elements go the same way through ``lincomb``.
+Sums of scalar multiples of elements go the same way through ``lincomb``, and
+sums of products, optionally cut at a degree, through ``dot``.
 """
 
 from __future__ import annotations
@@ -136,6 +137,51 @@ def lincomb(ring: Ring, n: int, pairs) -> "GrassmannElement":
             acc = out.get(m)
             v = a * c2
             out[m] = v if acc is None else acc + v
+    return from_numerators(ring, n, out, big)
+
+
+def dot(ring: Ring, n: int, pairs, cap: int) -> "GrassmannElement":
+    """The sum of a * b over (element, element) pairs, up to degree ``cap``.
+
+    Accumulates integer numerators over the running lcm of the pairs'
+    denominators, as ``lincomb`` does, with the suffix-parity signs of the
+    product.  A left term of degree above ``cap`` is skipped, and so is every
+    right term that would lift it above ``cap``, before any product is
+    formed; with ``cap >= n`` the sum is exact.
+    """
+    out: dict[int, int] = {}
+    big = 1
+    for a, b in pairs:
+        if not a or not b:
+            continue
+        left, da = numerators(a)
+        right, db = numerators(b)
+        den = da * db
+        if big % den:
+            grow = lcm(big, den) // big
+            big *= grow
+            for m in out:
+                out[m] *= grow
+        s = big // den
+        for m1, c1 in left:
+            room = cap - m1.bit_count()
+            if room < 0:
+                continue
+            c1 *= s
+            q = m1 >> 1
+            q ^= q >> 1
+            q ^= q >> 2
+            q ^= q >> 4
+            q ^= q >> 8
+            for m2, c2 in right:
+                if m1 & m2 or m2.bit_count() > room:
+                    continue
+                c = c1 * c2
+                if (m2 & q).bit_count() & 1:
+                    c = -c
+                m = m1 | m2
+                acc = out.get(m)
+                out[m] = c if acc is None else acc + c
     return from_numerators(ring, n, out, big)
 
 

@@ -14,6 +14,7 @@ from .algebra import (
     GrassmannElement,
     format_element,
     element_to_json,
+    dot,
     even_part,
     invert_unit,
     lincomb,
@@ -156,28 +157,36 @@ class Endomorphism:
         cofactor expansion.
         """
         if self._jac is None:
-            if not self.has_odd_images():
-                raise ParityError(
-                    "Jacobian requires purely odd images (entries must be central)")
-            matrix = [
-                [skew_partial(j + 1, self.images[i]) for j in range(self.n)]
-                for i in range(self.n)
-            ]
+            matrix = self._skew_matrix()
             det, _ = _eliminate(self.ring, self.n, matrix)
-            self._jac = JacobianData(matrix=matrix, det=det,
-                                     valuation=_valuation(det))
+            self._set_jacobian(matrix, det)
         return self._jac
+
+    def _skew_matrix(self):
+        if not self.has_odd_images():
+            raise ParityError(
+                "Jacobian requires purely odd images (entries must be central)")
+        return [[skew_partial(j + 1, im) for j in range(self.n)]
+                for im in self.images]
+
+    def _set_jacobian(self, matrix, det) -> None:
+        self._jac = JacobianData(matrix=matrix, det=det, valuation=_valuation(det))
 
     def _dual_data(self):
         """Rows of the transposed inverse Jacobian, cached for dual derivatives.
 
         The inverse comes from Gauss-Jordan elimination on unit pivots
         (``_eliminate``), once per endomorphism; a column without a unit
-        pivot means the linear part is singular.
+        pivot means the linear part is singular.  The same elimination
+        yields the determinant, which fills the Jacobian cache if it is
+        still empty.
         """
         if self._dual is None:
-            _, inv = _eliminate(self.ring, self.n, self.jacobian().matrix,
-                                inverse=True)
+            matrix = (self._skew_matrix() if self._jac is None
+                      else self._jac.matrix)
+            det, inv = _eliminate(self.ring, self.n, matrix, inverse=True)
+            if self._jac is None:
+                self._set_jacobian(matrix, det)
             self._dual = [list(col) for col in zip(*inv)]
         return self._dual
 
@@ -185,15 +194,15 @@ class Endomorphism:
         """The skew partial derivative with respect to the new coordinate images[i-1].
 
         By the chain rule d_j = sum_i J[i][j] d'_i, so
-        d'_i(e) = sum_j (J^-1)[j][i] d_j(e).
+        d'_i(e) = sum_j (J^-1)[j][i] d_j(e): one uncut ``dot`` call.
         """
-        acc = GrassmannElement.zero(self.ring, self.n)
-        for j, entry in enumerate(self._dual_data()[i - 1], start=1):
-            if entry:
-                d = skew_partial(j, e)
-                if d:
-                    acc = acc + entry * d
-        return acc
+        if e.n != self.n or e.ring != self.ring:
+            raise DimensionMismatchError("element/endomorphism dimension mismatch")
+        row = self._dual_data()[i - 1]
+        return dot(self.ring, self.n,
+                   ((entry, skew_partial(j, e))
+                    for j, entry in enumerate(row, start=1) if entry),
+                   self.n)
 
     def new_coordinate_projection(self, e: GrassmannElement) -> GrassmannElement:
         """Projection onto K relative to the new coordinates sigma(x_i)."""
@@ -238,38 +247,58 @@ class Endomorphism:
         return lin_inv.compose(current)
 
     def _inverse_formula(self) -> "Endomorphism":
-        """Closed-form inverse from dual derivatives and the new-coordinate projection.
+        """Closed-form inverse from composite dual derivatives.
 
         Valid for parity-preserving automorphisms (all images odd, invertible
-        linear part): the coefficient of each monomial in the inverse image is
-        the projected composite dual derivative of the target generator.
+        linear part).  The coefficient of x^mask in the inverse image of x_j
+        is the new-coordinate projection of the composite dual derivative of
+        x_j over mask, the lowest index first.  That projection onto K along
+        the augmentation ideal is coordinate-free (the images generate the
+        same ideal), so it is just the constant term.
+
+        Only terms that can reach a constant term are kept.  A dual
+        derivative d'_i = sum_k (J^-1)[k][i] d_k has even coefficients, so it
+        lowers the minimum degree by at most one.  A node of the derivative
+        tree whose top index is t (0-based) has at most n-1-t derivatives
+        still to come, so it needs no term of degree above cap = n-1-t: its
+        parent is cut at cap+1 before it is differentiated, dual row t+1 at
+        cap, and the node is one ``dot`` call cut at cap.
         """
         if not self.has_odd_images():
             raise ParityError("formula inversion requires purely odd images")
         ring, n = self.ring, self.n
+        # rows[t]: the nonzero entries (k, (J^-1)[k][t+1]) cut at n-1-t
+        rows = [[(k, cut) for k, entry in enumerate(row, start=1)
+                 if (cut := _truncate(entry, n - 1 - t))]
+                for t, row in enumerate(self._dual_data())]
         images = []
         for j in range(1, n + 1):
-            duals = {0: GrassmannElement.generator(ring, n, j)}
+            duals = {0: GrassmannElement.generator(ring, n, j)}  # nonzero nodes
             terms = {}
             for mask in range(1, 1 << n):
                 top = mask.bit_length() - 1
-                rest = mask ^ (1 << top)
-                base = duals.get(rest)
-                if base is None or not base:
-                    duals[mask] = GrassmannElement.zero(ring, n)
+                base = duals.get(mask ^ (1 << top))
+                if base is None:
                     continue
-                duals[mask] = self.dual_skew_partial(top + 1, base)
-            for mask, d in duals.items():
-                if not d:
-                    continue
-                # the projection onto K along the augmentation ideal is
-                # coordinate-free (the images generate the same ideal), so the
-                # new-coordinate projection of d is just its constant term
-                coeff = d.constant_term()
-                if coeff != 0:
-                    terms[mask] = coeff
-            images.append(GrassmannElement(ring, n, terms))
+                cap = n - 1 - top
+                base = _truncate(base, cap + 1)
+                d = dot(ring, n, ((entry, skew_partial(k, base))
+                                  for k, entry in rows[top]), cap)
+                if d:
+                    duals[mask] = d
+                    coeff = d.constant_term()
+                    if coeff != 0:
+                        terms[mask] = coeff
+            images.append(GrassmannElement(ring, n, terms, _raw=True))
         return Endomorphism(images, check=False)
+
+
+def _truncate(e: GrassmannElement, cap: int) -> GrassmannElement:
+    """e without its terms of degree above cap."""
+    terms = {m: c for m, c in e.terms.items() if m.bit_count() <= cap}
+    if len(terms) == len(e.terms):
+        return e
+    return GrassmannElement(e.ring, e.n, terms, _raw=True)
 
 
 @dataclass(frozen=True)

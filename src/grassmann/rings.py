@@ -131,6 +131,10 @@ class PrimeField:
         return k % self.modulus
 
     def normalize(self, c) -> int:
+        """The representative in [0, p) of an int, or of a/b as a * b^-1."""
+        # ints skip isinstance, which is slow against the Fraction ABC
+        if type(c) is not int and isinstance(c, Fraction):
+            return c.numerator * self.invert(c.denominator) % self.modulus
         return c % self.modulus
 
     def is_unit(self, c) -> bool:

@@ -8,6 +8,7 @@ from conftest import brute_force_product
 from grassmann.algebra import (
     GrassmannElement,
     component,
+    dot,
     even_part,
     format_element,
     involution,
@@ -259,6 +260,67 @@ class TestLincomb:
         assert out.coefficient(0b001) == Fraction(2)
 
 
+class TestDot:
+    """dot against the sum of products, cut at the degree cap afterwards."""
+
+    @staticmethod
+    def oracle(ring, n, pairs, cap):
+        acc = GrassmannElement.zero(ring, n)
+        for a, b in pairs:
+            acc = acc + a * b
+        return GrassmannElement(ring, n, {m: c for m, c in acc.terms.items()
+                                          if m.bit_count() <= cap})
+
+    @staticmethod
+    def caps(n):
+        return (0, 1, n - 1, n, n + 2)
+
+    def test_coprime_and_negative_denominators(self, rng):
+        n = 6
+        pool = [Fraction(-13, 6), Fraction(5, 11), Fraction(1, 7), Fraction(0),
+                Fraction(-9, 4), Fraction(3)]
+
+        def element():
+            return GrassmannElement(QQ, n, {rng.randrange(1 << n): rng.choice(pool)
+                                            for _ in range(5)})
+
+        for _ in range(40):
+            pairs = [(element(), element()) for _ in range(rng.randrange(1, 5))]
+            for cap in self.caps(n):
+                assert dot(QQ, n, pairs, cap) == self.oracle(QQ, n, pairs, cap)
+
+    @pytest.mark.parametrize("ring", [QQ, GF(7), GF(3)], ids=["QQ", "GF7", "GF3"])
+    def test_random_pairs(self, ring, rng):
+        n = 5
+        for _ in range(40):
+            pairs = [(random_element(rng, ring, n, terms=4),
+                      random_element(rng, ring, n, terms=4))
+                     for _ in range(rng.randrange(1, 5))]
+            for cap in self.caps(n):
+                assert dot(ring, n, pairs, cap) == self.oracle(ring, n, pairs, cap)
+
+    def test_zero_elements_and_empty(self, ring):
+        n = 3
+        zero = GrassmannElement.zero(ring, n)
+        e = elem(ring, n, "1 + x1 - x2x3")
+        for cap in self.caps(n):
+            assert dot(ring, n, [], cap) == zero
+            assert dot(ring, n, [(zero, e), (e, zero)], cap) == zero
+            assert dot(ring, n, [(zero, e), (e, e)], cap) == self.oracle(
+                ring, n, [(e, e)], cap)
+        # full cancellation leaves no zero terms behind
+        assert dot(ring, n, [(e, e), (-e, e)], n).terms == {}
+
+    def test_left_terms_above_cap_are_skipped(self, ring):
+        # x1x2 * 1 would land above the cap; x3 * x1 lands on it
+        n = 3
+        left = elem(ring, n, "x1x2 + x3")
+        right = elem(ring, n, "1 + x1")
+        assert dot(ring, n, [(left, right)], 2) == elem(ring, n, "x1x2 + x3 - x1x3")
+        assert dot(ring, n, [(left, right)], 1) == elem(ring, n, "x3")
+        assert dot(ring, n, [(left, right)], 0) == GrassmannElement.zero(ring, n)
+
+
 class TestUnitInversion:
     def test_top_pair(self, ring):
         e = elem(ring, 3, "1 + x1x2")
@@ -410,6 +472,16 @@ class TestBounds:
     def test_prime_field_parses_fractions(self):
         ring = GF(7)
         assert ring.parse("3/2") == ring.normalize(3 * ring.invert(2))
+
+    def test_prime_field_normalizes_fractions(self):
+        ring = GF(7)
+        assert ring.normalize(Fraction(-13, 6)) == 6 == ring.parse("-13/6")
+        assert GrassmannElement.scalar(ring, 3, Fraction(-13, 6)) == parse_element(
+            ring, 3, "-13/6")
+        with pytest.raises(NotAUnitError):
+            ring.normalize(Fraction(1, 7))
+        with pytest.raises(NotAUnitError):
+            ring.parse("1/7")
 
     def test_two_is_invertible(self, ring):
         two = ring.from_int(2)

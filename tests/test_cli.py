@@ -4,8 +4,9 @@ import pytest
 
 from grassmann.cli import main
 from grassmann.algebra import parse_element
-from grassmann.endo import parse_endomorphism
+from grassmann.endo import format_endomorphism, identity_endo, parse_endomorphism
 from grassmann.rings import GF, QQ
+from grassmann.sampling import random_gamma_gl, spawn
 from grassmann.verify import SUITES
 
 
@@ -72,6 +73,22 @@ class TestInvertCommand:
         assert code == 0
         assert parse_endomorphism(QQ, 4, out) == parse_endomorphism(
             QQ, 4, "x1 -> x1 - x2x3x4; x2 -> x2; x3 -> x3; x4 -> x4")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_strategies_print_identical_output(self, capsys, fmt):
+        sigma = random_gamma_gl(spawn(7, "cli-invert", fmt), QQ, 8)
+        argv = ["invert", "--n", "8", "--format", fmt,
+                "--endo", format_endomorphism(sigma)]
+        by_strategy = {}
+        for strategy in ("iteration", "formula"):
+            code, out, _ = run_cli(capsys, *argv, "--strategy", strategy)
+            assert code == 0
+            by_strategy[strategy] = out
+        assert by_strategy["formula"] == by_strategy["iteration"]
+        inverse = sigma.inverse("iteration")
+        assert inverse.compose(sigma) == identity_endo(QQ, 8)
+        if fmt == "text":
+            assert parse_endomorphism(QQ, 8, by_strategy["formula"]) == inverse
 
 
 class TestDecomposeCommand:

@@ -23,7 +23,7 @@ from grassmann.endo import (
     linear_endo,
     parse_endomorphism,
 )
-from grassmann.rings import GF, QQ, gauss_jordan, mat_mul
+from grassmann.rings import GF, QQ, NotAUnitError, gauss_jordan, mat_mul
 from grassmann.sampling import (
     random_element,
     random_gamma,
@@ -116,8 +116,13 @@ class TestApplyCompose:
         # sigma(e) = sum of c * (letter-word product of the images in mask)
         rng = spawn(5, "apply-oracle", str(field))
         n = 5
-        coeffs = [field.normalize(c) for c in
-                  (Fraction(-13, 6), Fraction(5, 11), Fraction(1, 7), 2, -1)]
+        raw = (Fraction(-13, 6), Fraction(5, 11), Fraction(1, 7), 2, -1)
+        if field.modulus is not None:
+            # 1/7 is no element of GF(7); 1/3 takes its place
+            with pytest.raises(NotAUnitError):
+                field.normalize(Fraction(1, 7))
+            raw = (Fraction(-13, 6), Fraction(5, 11), Fraction(1, 3), 2, -1)
+        coeffs = [field.normalize(c) for c in raw]
         for _ in range(8):
             sigma = random_omega(rng, field, n, terms=2).compose(
                 random_gamma_gl(rng, field, n))
@@ -342,6 +347,35 @@ class TestEliminationKernel:
                     acc = acc + jac[i][t] * rows_t[j][t]
                 assert acc == (one if i == j else zero)
 
+    def test_dual_data_runs_one_elimination(self, ring, monkeypatch):
+        # the inverse elimination also yields the determinant, so a later
+        # jacobian() call reads it from the cache
+        calls = []
+        eliminate = endo_module._eliminate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("inverse", False))
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(endo_module, "_eliminate", counting)
+        rng = spawn(41, "kernel-one-pass", str(ring))
+        for n in (4, 6):
+            sigma = random_gamma_gl(rng, ring, n)
+            sigma.dual_skew_partial(1, sigma.images[0])
+            jac = sigma.jacobian()
+            fresh = Endomorphism(sigma.images, check=False).jacobian()
+            assert (jac.det, jac.valuation) == (fresh.det, fresh.valuation)
+        assert calls == [True, False, True, False]
+
+    def test_dual_parity_error_before_elimination(self, ring, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("elimination ran on images with even parts")
+
+        monkeypatch.setattr(endo_module, "_eliminate", refuse)
+        sigma = endo(ring, 2, "x1 -> x1 + x1x2; x2 -> x2")
+        with pytest.raises(ParityError, match="purely odd images"):
+            sigma.dual_skew_partial(1, gen(ring, 2, 1))
+
     def test_singular_linear_part_raises(self, ring):
         sigma = Endomorphism([gen(ring, 2, 2), gen(ring, 2, 2)], check=False)
         assert sigma.jacobian().det == GrassmannElement.zero(ring, 2)
@@ -386,6 +420,22 @@ class TestDualDerivatives:
                 ring, n, e.constant_term())
 
 
+def untruncated_formula_inverse(sigma):
+    """Reference formula inverse: the full tree of 2^n composite dual
+    derivatives per generator, each node's constant term read off."""
+    ring, n = sigma.ring, sigma.n
+    images = []
+    for j in range(1, n + 1):
+        duals = {0: gen(ring, n, j)}
+        terms = {}
+        for mask in range(1, 1 << n):
+            top = mask.bit_length() - 1
+            duals[mask] = sigma.dual_skew_partial(top + 1, duals[mask ^ (1 << top)])
+            terms[mask] = duals[mask].constant_term()
+        images.append(GrassmannElement(ring, n, terms))
+    return Endomorphism(images, check=False)
+
+
 class TestInverse:
     def test_identity(self, ring):
         ident = identity_endo(ring, 4)
@@ -397,6 +447,33 @@ class TestInverse:
         expected = endo(ring, 4, "x1 -> x1 - x2x3x4; x2 -> x2; x3 -> x3; x4 -> x4")
         assert sigma.inverse("iteration") == expected
         assert sigma.inverse("formula") == expected
+
+    @pytest.mark.parametrize("ring", [QQ, GF(3), GF(7)], ids=str)
+    def test_truncation_changes_no_coefficient(self, ring):
+        rng = spawn(43, "formula-truncation", str(ring))
+        for n in range(1, 7):
+            maps = [random_gamma_gl(rng, ring, n),
+                    random_gamma_gl(rng, ring, n, terms=4),
+                    random_linear(rng, ring, n).compose(random_gamma(rng, ring, n)),
+                    random_gamma(rng, ring, n)]
+            for sigma in maps:
+                assert sigma._inverse_formula() == untruncated_formula_inverse(sigma)
+
+    def test_formula_independent_of_iteration(self, ring, monkeypatch):
+        # each strategy is the other's oracle, so neither may call the other
+        def refuse(*args):
+            raise AssertionError("formula inverse ran the iteration path")
+
+        sigma = random_gamma_gl(spawn(43, "formula-alone", str(ring)), ring, 5)
+        want = untruncated_formula_inverse(sigma)
+        monkeypatch.setattr(Endomorphism, "_inverse_iteration", refuse)
+        monkeypatch.setattr(Endomorphism, "apply", refuse)
+        assert sigma.inverse("formula") == want
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_formula_matches_iteration_at_large_n(self, n):
+        sigma = random_gamma_gl(spawn(43, "formula-large", n), GF(7), n)
+        assert sigma._inverse_formula() == sigma._inverse_iteration()
 
     def test_strategies_agree_and_compose(self, rng):
         ring = GF(7)
