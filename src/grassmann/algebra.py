@@ -5,22 +5,28 @@ of a mask records the presence of the generator ``x_i``; a mask always denotes
 the product of its generators in ascending index order, which fixes every sign
 in the library.
 
-The product makes no coefficient object per pair of terms.  Each operand is
-written once as integer numerators over a common denominator (the lcm of its
-denominators over QQ, 1 over GF(p)); the inner loop multiplies and adds plain
-ints, and one coefficient is built per output term.  The sign of
-``mask1 * mask2`` is the parity of the pairs (i in mask1, j in mask2) with
-i > j: with ``q`` the suffix-parity mask of ``mask1`` (bit j set when mask1
-has an odd number of bits above j), it is ``(mask2 & q).bit_count() & 1``.
-Sums of scalar multiples of elements go the same way through ``lincomb``, and
-sums of products, optionally cut at a degree, through ``dot``.
+An element stores its coefficients as integer numerators over one positive
+denominator: ``num`` maps masks to nonzero ints and ``den`` is an int with
+``gcd(den, *num.values()) == 1``.  Over GF(p) ``den`` is 1 and ``num`` holds
+the residues in ``[0, p)``.  That form is canonical, so equality and hashing
+read it directly, and every operation works on ints and ends with one
+``from_num`` (one gcd) instead of one coefficient object per term.  ``terms``
+is the boundary to field elements: it maps masks to ``Fraction`` coefficients
+over QQ (built once per element and cached) and is ``num`` itself over GF(p).
+
+The sign of ``mask1 * mask2`` is the parity of the pairs (i in mask1,
+j in mask2) with i > j: with ``q`` the suffix-parity mask of ``mask1`` (bit j
+set when mask1 has an odd number of bits above j), it is
+``(mask2 & q).bit_count() & 1``.  Sums of scalar multiples of elements go the
+same way through ``lincomb``, and sums of products, optionally cut at a
+degree, through ``dot``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .rings import Coefficient, NotAUnitError, Ring
@@ -70,100 +76,127 @@ def mask_str(mask: int) -> str:
     return "".join(f"x{i}" for i in mask_indices(mask)) if mask else "1"
 
 
-def numerators(e: "GrassmannElement"):
-    """``(items, d)``: the terms of e as (mask, int numerator) over one denominator d.
+def wrap(ring: Ring, n: int, num: dict, den: int = 1) -> "GrassmannElement":
+    """The element num[mask] / den, which must already be in canonical form."""
+    e = _new(GrassmannElement)
+    e.ring = ring
+    e.n = n
+    e.num = num
+    e.den = den
+    e._terms = None
+    e._hash = None
+    return e
 
-    Over GF(p) the coefficients already are ints and d is 1.  Over QQ, d is
-    the lcm of the denominators; that form is computed once per element and
-    cached, since elements are immutable and operands recur (images, matrix
-    entries).
+
+def from_num(ring: Ring, n: int, acc: dict, den: int = 1) -> "GrassmannElement":
+    """The element acc[mask] / den in canonical form.
+
+    Zero numerators are dropped; over QQ the denominator is made positive and
+    coprime to the numerators with one gcd, over GF(p) the numerators are
+    reduced to residues over the denominator 1.
     """
-    if e._num is not None:
-        return e._num
-    terms = e.terms
-    if e.ring.modulus is not None:
-        return terms.items(), 1
-    if len(terms) == 1:
-        # monomials and scalars, the commonest operands: no lcm or rescaling
-        (m, c), = terms.items()
-        a, d = c.as_integer_ratio()
-        num = [(m, a)], d
-    else:
-        ratios = [c.as_integer_ratio() for c in terms.values()]
-        d = lcm(*[q for _, q in ratios])
-        if d == 1:
-            num = [(m, a) for m, (a, _) in zip(terms, ratios)], 1
-        else:
-            num = [(m, a * (d // q)) for m, (a, q) in zip(terms, ratios)], d
-    e._num = num
-    return num
-
-
-def from_numerators(ring: Ring, n: int, acc: dict, d: int) -> "GrassmannElement":
-    """The element with coefficients acc[mask] / d, zero terms dropped."""
     p = ring.modulus
     if p is not None:
-        out = {m: cb for m, c in acc.items() if (cb := c % p)}
-    elif d == 1:
-        out = {m: Fraction(c) for m, c in acc.items() if c}
-    else:
-        out = {m: Fraction(c, d) for m, c in acc.items() if c}
-    return GrassmannElement(ring, n, out, _raw=True)
+        if den != 1:
+            inv = ring.invert(den)
+            acc = {m: c * inv for m, c in acc.items()}
+        return wrap(ring, n, {m: cb for m, c in acc.items() if (cb := c % p)})
+    if 0 in acc.values():
+        acc = {m: c for m, c in acc.items() if c}
+    if den != 1:
+        if den < 0:
+            den = -den
+            acc = {m: -c for m, c in acc.items()}
+        g = gcd(den, *acc.values())
+        if g != 1:
+            den //= g
+            acc = {m: c // g for m, c in acc.items()}
+    return wrap(ring, n, acc, den)
 
 
-def lincomb(ring: Ring, n: int, pairs) -> "GrassmannElement":
-    """The sum of c * e over (scalar, element) pairs.
+def restrict(e: "GrassmannElement", num: dict) -> "GrassmannElement":
+    """The element num[mask] / e.den, where num holds some of the numerators
+    of e, each up to sign: a subset of canonical numerators needs a gcd only
+    over a denominator above 1."""
+    if e.den == 1:
+        return wrap(e.ring, e.n, num)
+    return from_num(e.ring, e.n, num, e.den)
+
+
+def _split(ring: Ring, terms: dict):
+    """``(num, den)`` for a dict of nonzero normalized field elements.
+
+    Over QQ, den is the lcm of the denominators, which leaves the numerators
+    coprime to it; over GF(p) the dict itself is num.
+    """
+    if ring.modulus is not None or not terms:
+        return terms, 1
+    ratios = [c.as_integer_ratio() for c in terms.values()]
+    den = lcm(*[q for _, q in ratios])
+    return {m: a * (den // q) for m, (a, q) in zip(terms, ratios)}, den
+
+
+def lincomb(ring: Ring, n: int, pairs, den: int = 1) -> "GrassmannElement":
+    """The sum of c * e over (scalar, element) pairs, divided by ``den``.
 
     Accumulates integer numerators over ``big``, the lcm of the denominators
     of the terms c * e seen so far (1 over GF(p)); the accumulator is
-    rescaled when ``big`` grows, and one coefficient is built per output term.
+    rescaled when ``big`` grows, and the result is reduced once.
     """
     p = ring.modulus
+    normalize = ring.normalize
     out: dict[int, int] = {}
     big = 1
     for c, e in pairs:
-        if not c:
+        if p is not None:
+            a, q = (c if type(c) is int else normalize(c)), 1
+        else:
+            a, q = c.as_integer_ratio()
+        if not a:
             continue
-        a, q = (c, 1) if p is not None else c.as_integer_ratio()
-        items, dp = numerators(e)
-        den = q * dp
-        if big % den:
-            grow = lcm(big, den) // big
+        d = q * e.den
+        if big % d:
+            grow = lcm(big, d) // big
             big *= grow
             for m in out:
                 out[m] *= grow
-        a *= big // den
-        for m, c2 in items:
+        a *= big // d
+        for m, c2 in e.num.items():
             acc = out.get(m)
             v = a * c2
             out[m] = v if acc is None else acc + v
-    return from_numerators(ring, n, out, big)
+    return from_num(ring, n, out, big * den)
 
 
-def dot(ring: Ring, n: int, pairs, cap: int) -> "GrassmannElement":
-    """The sum of a * b over (element, element) pairs, up to degree ``cap``.
+def dot(ring: Ring, n: int, pairs, cap: int,
+        start: "GrassmannElement | None" = None) -> "GrassmannElement":
+    """``start`` plus the sum of a * b over (element, element) pairs, up to
+    degree ``cap``.
 
     Accumulates integer numerators over the running lcm of the pairs'
     denominators, as ``lincomb`` does, with the suffix-parity signs of the
     product.  A left term of degree above ``cap`` is skipped, and so is every
     right term that would lift it above ``cap``, before any product is
-    formed; with ``cap >= n`` the sum is exact.
+    formed; with ``cap >= n`` the sum is exact.  ``start`` is added uncut.
     """
-    out: dict[int, int] = {}
-    big = 1
+    if start is None:
+        out: dict[int, int] = {}
+        big = 1
+    else:
+        out = dict(start.num)
+        big = start.den
     for a, b in pairs:
-        if not a or not b:
+        if not a.num or not b.num:
             continue
-        left, da = numerators(a)
-        right, db = numerators(b)
-        den = da * db
-        if big % den:
-            grow = lcm(big, den) // big
+        right = b.num.items()
+        d = a.den * b.den
+        if big % d:
+            grow = lcm(big, d) // big
             big *= grow
             for m in out:
                 out[m] *= grow
-        s = big // den
-        for m1, c1 in left:
+        s = big // d
+        for m1, c1 in a.num.items():
             room = cap - m1.bit_count()
             if room < 0:
                 continue
@@ -182,27 +215,28 @@ def dot(ring: Ring, n: int, pairs, cap: int) -> "GrassmannElement":
                 m = m1 | m2
                 acc = out.get(m)
                 out[m] = c if acc is None else acc + c
-    return from_numerators(ring, n, out, big)
+    return from_num(ring, n, out, big)
+
+
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_GENERATORS:
+        raise ValueError(f"generator count must be in 1..{MAX_GENERATORS}, got {n}")
 
 
 class GrassmannElement:
     """An element of the rank-2^n Grassmann algebra over an exact ring.
 
-    Immutable once constructed; ``terms`` maps masks to nonzero coefficients
-    and must not be mutated.
+    Immutable once constructed.  ``num`` and ``den`` are the canonical
+    storage (see the module docstring); ``terms`` maps masks to nonzero
+    field elements and must not be mutated.
     """
 
-    __slots__ = ("ring", "n", "terms", "_hash", "_num")
+    __slots__ = ("ring", "n", "num", "den", "_terms", "_hash")
 
-    def __init__(self, ring: Ring, n: int, terms=None, *, _raw: bool = False):
-        if not 1 <= n <= MAX_GENERATORS:
-            raise ValueError(f"generator count must be in 1..{MAX_GENERATORS}, got {n}")
-        self.ring = ring
-        self.n = n
-        if terms is None:
-            terms = {}
-        elif not _raw:
-            clean = {}
+    def __init__(self, ring: Ring, n: int, terms=None):
+        _check_n(n)
+        clean = {}
+        if terms:
             limit = 1 << n
             for mask, c in dict(terms).items():
                 if not 0 <= mask < limit:
@@ -210,36 +244,57 @@ class GrassmannElement:
                 c = ring.normalize(c)
                 if c != 0:
                     clean[mask] = c
-            terms = clean
-        self.terms = terms
+        self.ring = ring
+        self.n = n
+        self.num, self.den = _split(ring, clean)
+        self._terms = None
         self._hash = None
-        self._num = None
+
+    @property
+    def terms(self) -> dict:
+        """{mask: coefficient} with field-element coefficients; cached."""
+        t = self._terms
+        if t is None:
+            num, den = self.num, self.den
+            if self.ring.modulus is not None:
+                t = num
+            elif den == 1:
+                t = {m: Fraction(c) for m, c in num.items()}
+            else:
+                t = {m: Fraction(c, den) for m, c in num.items()}
+            self._terms = t
+        return t
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(ring: Ring, n: int) -> "GrassmannElement":
-        return GrassmannElement(ring, n, {}, _raw=True)
+        _check_n(n)
+        return wrap(ring, n, {})
 
     @staticmethod
     def scalar(ring: Ring, n: int, c) -> "GrassmannElement":
-        c = ring.normalize(c)
-        return GrassmannElement(ring, n, {0: c} if c != 0 else {}, _raw=True)
+        return GrassmannElement.monomial(ring, n, 0, c)
 
     @staticmethod
     def one(ring: Ring, n: int) -> "GrassmannElement":
-        return GrassmannElement(ring, n, {0: ring.one}, _raw=True)
+        _check_n(n)
+        return wrap(ring, n, {0: 1})
 
     @staticmethod
     def generator(ring: Ring, n: int, i: int) -> "GrassmannElement":
+        _check_n(n)
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} out of range 1..{n}")
-        return GrassmannElement(ring, n, {1 << (i - 1): ring.one}, _raw=True)
+        return wrap(ring, n, {1 << (i - 1): 1})
 
     @staticmethod
     def monomial(ring: Ring, n: int, mask: int, coeff=None) -> "GrassmannElement":
-        c = ring.one if coeff is None else ring.normalize(coeff)
-        return GrassmannElement(ring, n, {mask: c} if c != 0 else {}, _raw=True)
+        _check_n(n)
+        if coeff is None:
+            return wrap(ring, n, {mask: 1})
+        num, den = _split(ring, {mask: c} if (c := ring.normalize(coeff)) != 0 else {})
+        return wrap(ring, n, num, den)
 
     # -- ring structure ----------------------------------------------------
 
@@ -254,25 +309,40 @@ class GrassmannElement:
             return NotImplemented
         self._check_compatible(other)
         p = self.ring.modulus
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
+        den, db = self.den, other.den
+        if den == db:
+            out = dict(self.num)
+            items = other.num.items()
+        else:  # QQ only: bring both over the lcm of the denominators
+            g = gcd(den, db)
+            sa, sb = db // g, den // g
+            out = {m: c * sa for m, c in self.num.items()}
+            items = [(m, c * sb) for m, c in other.num.items()]
+            den *= sa
+        merged = False
+        for mask, c in items:
             acc = out.get(mask)
-            c = c if acc is None else acc + c
-            if p is not None:
-                c %= p
-            if c == 0:
-                out.pop(mask, None)
-            else:
-                out[mask] = c
-        return GrassmannElement(self.ring, self.n, out, _raw=True)
+            if acc is not None:
+                merged = True
+                c += acc
+                if p is not None:
+                    c %= p
+                if not c:
+                    del out[mask]
+                    continue
+            out[mask] = c
+        # without a merged mask the numerators stay coprime to den
+        if merged and den != 1:
+            return from_num(self.ring, self.n, out, den)
+        return wrap(self.ring, self.n, out, den)
 
     def __neg__(self):
         p = self.ring.modulus
         if p is None:
-            out = {m: -c for m, c in self.terms.items()}
+            out = {m: -c for m, c in self.num.items()}
         else:
-            out = {m: (-c) % p for m, c in self.terms.items()}
-        return GrassmannElement(self.ring, self.n, out, _raw=True)
+            out = {m: (-c) % p for m, c in self.num.items()}
+        return wrap(self.ring, self.n, out, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, GrassmannElement):
@@ -280,28 +350,24 @@ class GrassmannElement:
         return self + (-other)
 
     def scale(self, c) -> "GrassmannElement":
-        c = self.ring.normalize(c)
+        ring = self.ring
+        c = ring.normalize(c)
         if c == 0:
-            return GrassmannElement.zero(self.ring, self.n)
-        p = self.ring.modulus
-        if p is None:
-            out = {m: v * c for m, v in self.terms.items()}
-        else:
-            out = {}
-            for m, v in self.terms.items():
-                w = (v * c) % p
-                if w:
-                    out[m] = w
-        return GrassmannElement(self.ring, self.n, out, _raw=True)
+            return GrassmannElement.zero(ring, self.n)
+        p = ring.modulus
+        if p is not None:
+            return wrap(ring, self.n, {m: v * c % p for m, v in self.num.items()})
+        a, b = c.as_integer_ratio()
+        return from_num(ring, self.n, {m: v * a for m, v in self.num.items()},
+                        self.den * b)
 
     def __mul__(self, other):
         if not isinstance(other, GrassmannElement):
             return self.scale(other)
         self._check_compatible(other)
-        left, da = numerators(self)
-        right, db = numerators(other)
+        right = other.num.items()
         out: dict[int, int] = {}
-        for m1, c1 in left:
+        for m1, c1 in self.num.items():
             # bit j of q: parity of the bits of m1 above j (n <= 16)
             q = m1 >> 1
             q ^= q >> 1
@@ -317,7 +383,7 @@ class GrassmannElement:
                 m = m1 | m2
                 acc = out.get(m)
                 out[m] = c if acc is None else acc + c
-        return from_numerators(self.ring, self.n, out, da * db)
+        return from_num(self.ring, self.n, out, self.den * other.den)
 
     def __rmul__(self, other):
         # scalar * element; scalar coefficients commute with everything
@@ -326,51 +392,56 @@ class GrassmannElement:
     def __eq__(self, other):
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        return self.n == other.n and self.ring == other.ring and self.terms == other.terms
+        return (self.n == other.n and self.ring == other.ring
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, self.ring, frozenset(self.terms.items())))
+            self._hash = hash((self.n, self.ring, self.den,
+                               frozenset(self.num.items())))
         return self._hash
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, mask: int):
-        return self.terms.get(mask, self.ring.zero)
+        c = self.num.get(mask)
+        if c is None:
+            return self.ring.zero
+        return c if self.ring.modulus is not None else Fraction(c, self.den)
 
     def constant_term(self):
-        return self.terms.get(0, self.ring.zero)
+        return self.coefficient(0)
 
     def is_constant(self) -> bool:
-        return all(m == 0 for m in self.terms)
+        return all(m == 0 for m in self.num)
 
     def min_degree(self) -> int:
         """Smallest degree of a nonzero term; n+1 for the zero element."""
-        if not self.terms:
+        if not self.num:
             return self.n + 1
-        return min(m.bit_count() for m in self.terms)
+        return min(m.bit_count() for m in self.num)
 
     def max_degree(self) -> int:
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(m.bit_count() for m in self.terms)
+        return max(m.bit_count() for m in self.num)
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(m.bit_count() == d for m in self.terms)
+        return all(m.bit_count() == d for m in self.num)
 
     def degrees(self) -> set[int]:
-        return {m.bit_count() for m in self.terms}
+        return {m.bit_count() for m in self.num}
 
     def support_avoids(self, i: int) -> bool:
         bit = 1 << (i - 1)
-        return all(not (m & bit) for m in self.terms)
+        return all(not (m & bit) for m in self.num)
 
     def divisible_by(self, i: int) -> bool:
         bit = 1 << (i - 1)
-        return all(m & bit for m in self.terms)
+        return all(m & bit for m in self.num)
 
     def __repr__(self):
         return f"<Λ_{self.n}({self.ring!r}): {format_element(self)}>"
@@ -378,6 +449,8 @@ class GrassmannElement:
     def __str__(self):
         return format_element(self)
 
+
+_new = object.__new__
 
 Scalar = Union[Coefficient, int]
 
@@ -392,8 +465,7 @@ def component(e: GrassmannElement, selector) -> GrassmannElement:
         keep = lambda m: m.bit_count() == selector
     else:
         raise ValueError(f"invalid component selector {selector!r}")
-    out = {m: c for m, c in e.terms.items() if keep(m)}
-    return GrassmannElement(e.ring, e.n, out, _raw=True)
+    return restrict(e, {m: c for m, c in e.num.items() if keep(m)})
 
 
 def even_part(e: GrassmannElement) -> GrassmannElement:
@@ -408,35 +480,36 @@ def involution(e: GrassmannElement) -> GrassmannElement:
     """The grade involution: fixes even terms, negates odd ones."""
     p = e.ring.modulus
     out = {}
-    for m, c in e.terms.items():
+    for m, c in e.num.items():
         if m.bit_count() & 1:
             c = -c if p is None else (-c) % p
         out[m] = c
-    return GrassmannElement(e.ring, e.n, out, _raw=True)
+    return wrap(e.ring, e.n, out, e.den)
 
 
 def substitute_zero(e: GrassmannElement, indices: Iterable[int]) -> GrassmannElement:
     """Set the listed generators to zero: drop every term meeting them."""
     mask = indices_mask(indices)
-    out = {m: c for m, c in e.terms.items() if not (m & mask)}
-    return GrassmannElement(e.ring, e.n, out, _raw=True)
+    return restrict(e, {m: c for m, c in e.num.items() if not (m & mask)})
 
 
 def invert_unit(e: GrassmannElement) -> GrassmannElement:
     """Invert a unit: constant part must be a unit of K.
 
-    Writes e = lam + m with m nilpotent (m^(n+1) = 0) and evaluates the
-    geometric series lam^-1 * sum((-lam^-1 m)^k, k = 0..n).
+    Writes e = lam (1 - f), with f nilpotent (f^(n+1) = 0) and read off the
+    numerators as f = -(num - c0) / c0 for the constant numerator c0, and
+    evaluates the geometric series lam^-1 * sum(f^k, k = 0..n).
     """
+    ring, n = e.ring, e.n
     lam = e.constant_term()
-    if not e.ring.is_unit(lam):
+    if not ring.is_unit(lam):
         raise NotAUnitError(f"constant term {lam!r} is not a unit")
-    lam_inv = e.ring.invert(lam)
-    m = e - GrassmannElement.scalar(e.ring, e.n, lam)
-    factor = m.scale(-lam_inv)
-    acc = GrassmannElement.one(e.ring, e.n)
-    power = GrassmannElement.one(e.ring, e.n)
-    for _ in range(e.n):
+    lam_inv = ring.invert(lam)
+    c0 = e.num[0]
+    rest = {m: -c for m, c in e.num.items() if m}
+    factor = from_num(ring, n, rest, c0)
+    acc = power = GrassmannElement.one(ring, n)
+    for _ in range(n):
         power = power * factor
         if not power:
             break
@@ -469,8 +542,8 @@ def parse_element(ring: Ring, n: int, text: str) -> GrassmannElement:
     if pos != len(compact):
         raise ValueError(f"cannot parse element near {compact[pos:]!r}")
 
-    out = GrassmannElement.zero(ring, n)  # rejects a bad n before any term
-    terms = out.terms  # filled in place while out is still private
+    _check_n(n)  # rejects a bad n before any term
+    terms = {}
     p = ring.modulus
     i = 0
     while i < len(tokens):
@@ -512,7 +585,8 @@ def parse_element(ring: Ring, n: int, text: str) -> GrassmannElement:
             del terms[mask]
         else:
             terms[mask] = coeff
-    return out
+    num, den = _split(ring, terms)
+    return wrap(ring, n, num, den)
 
 
 def _parse_monomial(text: str, n: int) -> int:
@@ -530,12 +604,13 @@ def _parse_monomial(text: str, n: int) -> int:
 
 
 def format_element(e: GrassmannElement) -> str:
-    if not e.terms:
+    terms = e.terms
+    if not terms:
         return "0"
     ring = e.ring
     parts = []
-    for mask in sorted(e.terms, key=lambda m: (m.bit_count(), m)):
-        c = e.terms[mask]
+    for mask in sorted(terms, key=lambda m: (m.bit_count(), m)):
+        c = terms[mask]
         text = ring.format(c)
         negative = text.startswith("-")
         if negative:

@@ -20,6 +20,7 @@ from .algebra import (
     lincomb,
     odd_part,
     parse_element,
+    restrict,
 )
 from .rings import NotAUnitError, Ring, gauss_jordan, mat_det, mat_inv
 from .skewcalc import skew_partial
@@ -103,7 +104,8 @@ class Endomorphism:
         if e.n != self.n or e.ring != self.ring:
             raise DimensionMismatchError("element/endomorphism dimension mismatch")
         return lincomb(self.ring, self.n,
-                       ((c, self._product(mask)) for mask, c in e.terms.items()))
+                       ((c, self._product(mask)) for mask, c in e.num.items()),
+                       e.den)
 
     __call__ = apply
 
@@ -289,16 +291,16 @@ class Endomorphism:
                     coeff = d.constant_term()
                     if coeff != 0:
                         terms[mask] = coeff
-            images.append(GrassmannElement(ring, n, terms, _raw=True))
+            images.append(GrassmannElement(ring, n, terms))
         return Endomorphism(images, check=False)
 
 
 def _truncate(e: GrassmannElement, cap: int) -> GrassmannElement:
     """e without its terms of degree above cap."""
-    terms = {m: c for m, c in e.terms.items() if m.bit_count() <= cap}
-    if len(terms) == len(e.terms):
+    num = {m: c for m, c in e.num.items() if m.bit_count() <= cap}
+    if len(num) == len(e.num):
         return e
-    return GrassmannElement(e.ring, e.n, terms, _raw=True)
+    return restrict(e, num)
 
 
 @dataclass(frozen=True)
@@ -340,7 +342,8 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
        1 + nilpotent and every other entry of their columns becomes
        nilpotent, which keeps the products of the second pass sparse.
     2. Elimination of those r columns, dividing by the pivots with
-       ``invert_unit``: O(n^3) element products.
+       ``invert_unit``: O(n^3) element products, each row operation
+       ``a - f * b`` one ``dot`` call started at ``a``.
 
     The pivot search covers the whole remaining block, so the block left
     without unit entries is nilpotent; its determinant is the cofactor
@@ -377,9 +380,11 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
             f = row[k]
             if i == k or not f:
                 continue
+            minus_f = -f
             for j in range(k + 1, width):
                 if pivot_row[j]:
-                    row[j] = row[j] - f * pivot_row[j]
+                    # row[j] - f * pivot_row[j] in one accumulation
+                    row[j] = dot(ring, n, ((minus_f, pivot_row[j]),), n, row[j])
     if rank < size:
         det = det * _det_central(ring, n, [row[rank:] for row in rows[rank:]])
     return det, ([row[size:] for row in rows] if inverse else None)
@@ -431,14 +436,8 @@ def identity_endo(ring: Ring, n: int) -> Endomorphism:
 def linear_endo(ring: Ring, matrix) -> Endomorphism:
     """The substitution x_i -> sum_j matrix[i][j] x_j."""
     n = len(matrix)
-    images = []
-    for i in range(n):
-        terms = {}
-        for j in range(n):
-            c = ring.normalize(matrix[i][j])
-            if c != 0:
-                terms[1 << j] = c
-        images.append(GrassmannElement(ring, n, terms, _raw=True))
+    images = [GrassmannElement(ring, n, {1 << j: c for j, c in enumerate(row)})
+              for row in matrix]
     return Endomorphism(images, check=False)
 
 

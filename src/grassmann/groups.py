@@ -22,6 +22,7 @@ from .algebra import (
     lincomb,
     mask_str,
     odd_part,
+    restrict,
 )
 from .endo import (
     Endomorphism,
@@ -608,11 +609,9 @@ def decompose_gamma(sigma: Endomorphism) -> GammaWord:
         cs = []
         for i in range(1, n + 1):
             bit = 1 << (i - 1)
-            free = GrassmannElement(
-                ring, n,
-                {m: c for m, c in current.images[i - 1].terms.items()
-                 if not (m & bit) and m.bit_count() == degree},
-                _raw=True)
+            image = current.images[i - 1]
+            free = restrict(image, {m: c for m, c in image.num.items()
+                                    if not (m & bit) and m.bit_count() == degree})
             cs.append(free)
         shifts = tuple(-c for c in cs)
         if any(shifts):

@@ -16,6 +16,7 @@ from .algebra import (
     GrassmannElement,
     indices_mask,
     mask_str,
+    restrict,
 )
 from .rings import Ring
 from .skewcalc import apply_partial_word, coordinate_projection, phi_projection, skew_partial
@@ -181,13 +182,13 @@ def layer_split(a: GrassmannElement, s: int) -> LayerSplit2s:
         raise ValueError(f"element is not homogeneous of degree {2 * s}")
     full = (1 << n) - 1
     buckets: dict[int, dict] = {}
-    for mask, c in a.terms.items():
+    for mask, c in a.num.items():
         absent = full ^ mask
         label = absent.bit_length()  # largest missing 1-based index
         buckets.setdefault(label, {})[mask] = c
     parts = {}
     for label in range(n - 2 * s, n + 1):
-        parts[label] = GrassmannElement(a.ring, n, buckets.get(label, {}), _raw=True)
+        parts[label] = restrict(a, buckets.get(label, {}))
     leftover = set(buckets) - set(parts)
     if leftover:
         raise InternalSplitError(f"monomials with absent-index labels {leftover}")

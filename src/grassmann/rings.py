@@ -60,14 +60,8 @@ class RationalField:
 
     modulus = None
     name = "rational"
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)  # Fraction is immutable, so one object serves every read
+    one = Fraction(1)
 
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
@@ -119,13 +113,8 @@ class PrimeField:
         self.modulus = p
         self.name = f"prime:{p}"
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    zero = 0
+    one = 1
 
     def from_int(self, k: int) -> int:
         return k % self.modulus
@@ -138,10 +127,12 @@ class PrimeField:
         return c % self.modulus
 
     def is_unit(self, c) -> bool:
+        if type(c) is not int:
+            c = self.normalize(c)
         return c % self.modulus != 0
 
     def invert(self, c) -> int:
-        c %= self.modulus
+        c = c % self.modulus if type(c) is int else self.normalize(c)
         if c == 0:
             raise NotAUnitError("0 is not invertible")
         return pow(c, self.modulus - 2, self.modulus)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from .algebra import (
     GrassmannElement,
     mask_indices,
+    restrict,
     substitute_zero,
 )
 
@@ -27,13 +28,13 @@ def skew_partial(i: int, e: GrassmannElement) -> GrassmannElement:
     below = bit - 1
     p = e.ring.modulus
     out = {}
-    for mask, c in e.terms.items():
+    for mask, c in e.num.items():
         if not (mask & bit):
             continue
         if (mask & below).bit_count() & 1:
             c = -c if p is None else (-c) % p
         out[mask ^ bit] = c
-    return GrassmannElement(e.ring, e.n, out, _raw=True)
+    return restrict(e, out)
 
 
 def apply_partial_word(e: GrassmannElement, mask: int) -> GrassmannElement:
@@ -54,8 +55,7 @@ def coordinate_projection(i: int, e: GrassmannElement) -> GrassmannElement:
     if not 1 <= i <= e.n:
         raise ValueError(f"projection index {i} out of range 1..{e.n}")
     bit = 1 << (i - 1)
-    out = {m: c for m, c in e.terms.items() if not (m & bit)}
-    return GrassmannElement(e.ring, e.n, out, _raw=True)
+    return restrict(e, {m: c for m, c in e.num.items() if not (m & bit)})
 
 
 def phi_projection(e: GrassmannElement):

@@ -452,10 +452,11 @@ def check_chain_rule(ring: Ring, n: int, samples: int, seed) -> CheckResult:
         jst = st.jacobian()
         # matrix chain rule: entry (i, j) of the composite matrix
         for i in range(n):
+            row = [sigma.apply(entry) for entry in jt.matrix[i]]
             for j in range(n):
                 acc = GrassmannElement.zero(ring, n)
                 for t in range(n):
-                    acc = acc + sigma.apply(jt.matrix[i][t]) * js.matrix[t][j]
+                    acc = acc + row[t] * js.matrix[t][j]
                 if acc != jst.matrix[i][j]:
                     failures.append(f"matrix entry ({i + 1},{j + 1}): sample {k}")
                     break

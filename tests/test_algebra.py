@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from grassmann.algebra import (
 )
 from grassmann.rings import GF, QQ, NotAUnitError, PrimeField, _is_prime
 from grassmann.sampling import random_element, random_odd
+from grassmann.skewcalc import skew_partial
 
 
 def gen(ring, n, i):
@@ -311,6 +313,23 @@ class TestDot:
         # full cancellation leaves no zero terms behind
         assert dot(ring, n, [(e, e), (-e, e)], n).terms == {}
 
+    def test_start_is_added_uncut(self, rng):
+        # the fused row operation of the elimination: a - f*b as start=a
+        pool = [Fraction(-13, 6), Fraction(5, 11), Fraction(1, 7), Fraction(3)]
+        for ring in (QQ, GF(7), GF(3)):
+            p = ring.modulus
+            coeffs = [c for c in pool if p is None or c.denominator % p]
+            n = 4
+            for _ in range(30):
+                a, f, b = (GrassmannElement(ring, n, {rng.randrange(1 << n): rng.choice(coeffs)
+                                                      for _ in range(4)})
+                           for _ in range(3))
+                assert dot(ring, n, [(-f, b)], n, a) == a - f * b
+                for cap in self.caps(n):
+                    assert dot(ring, n, [(f, b)], cap, a) == a + self.oracle(
+                        ring, n, [(f, b)], cap)
+            assert dot(ring, n, [(a, a)], n, -(a * a)) == GrassmannElement.zero(ring, n)
+
     def test_left_terms_above_cap_are_skipped(self, ring):
         # x1x2 * 1 would land above the cap; x3 * x1 lands on it
         n = 3
@@ -483,6 +502,39 @@ class TestBounds:
         with pytest.raises(NotAUnitError):
             ring.parse("1/7")
 
+    def test_prime_field_fraction_scalars(self):
+        # every Fraction scalar over GF(p) goes through normalize: a/b is a*b^-1
+        ring = GF(7)
+        x1 = gen(ring, 3, 1)
+        got = lincomb(ring, 3, [(Fraction(1, 3), x1)])
+        assert got == x1.scale(Fraction(1, 3)) == x1.scale(5)
+        assert format_element(got) == "5*x1"
+        assert lincomb(ring, 3, [(Fraction(7, 3), x1)]) == GrassmannElement.zero(ring, 3)
+        with pytest.raises(NotAUnitError):
+            lincomb(ring, 3, [(Fraction(1, 7), x1)])
+
+    def test_prime_field_inverts_fractions(self):
+        ring = GF(7)
+        assert ring.invert(Fraction(1, 3)) == 3
+        assert ring.invert(Fraction(-13, 6)) == ring.invert(6)
+        with pytest.raises(NotAUnitError):
+            ring.invert(Fraction(7, 3))
+        with pytest.raises(NotAUnitError):
+            ring.invert(Fraction(1, 7))
+
+    def test_prime_field_unit_test_on_fractions(self):
+        ring = GF(7)
+        assert ring.is_unit(Fraction(2, 3))
+        assert not ring.is_unit(Fraction(14, 3))
+        with pytest.raises(NotAUnitError):
+            ring.is_unit(Fraction(1, 7))
+
+    def test_ring_constants_are_shared(self):
+        # one immutable object per constant, not a new Fraction per read
+        assert QQ.zero is QQ.zero and QQ.one is QQ.one
+        assert QQ.zero == 0 and QQ.one == 1 and type(QQ.one) is Fraction
+        assert GF(7).zero == 0 and GF(7).one == 1
+
     def test_two_is_invertible(self, ring):
         two = ring.from_int(2)
         assert ring.normalize(ring.invert(two) * two) == ring.one
@@ -495,3 +547,103 @@ class TestBounds:
             g = random_element(rng, ring, n, terms=6)
             assert (e * f) * g == e * (f * g)
             assert involution(e * f) == involution(e) * involution(f)
+
+
+class TestRepresentation:
+    """Every element is num/den in canonical form, and ``terms`` views it."""
+
+    POOL = [Fraction(-13, 6), Fraction(5, 11), Fraction(1, 7)]
+
+    @staticmethod
+    def assert_canonical(e):
+        num, den = e.num, e.den
+        assert type(den) is int and den > 0
+        assert all(type(c) is int and c != 0 for c in num.values())
+        assert gcd(den, *num.values()) == 1
+        p = e.ring.modulus
+        if p is None:
+            assert e.terms == {m: Fraction(c, den) for m, c in num.items()}
+        else:
+            assert den == 1 and all(0 < c < p for c in num.values())
+            assert e.terms is num
+        # the same element built from field elements: equal, same hash, same form
+        rebuilt = GrassmannElement(e.ring, e.n, dict(e.terms))
+        assert rebuilt == e and hash(rebuilt) == hash(e)
+        assert (rebuilt.num, rebuilt.den) == (num, den)
+        assert rebuilt.terms == e.terms
+
+    def pool(self, ring):
+        # over GF(p), the fractions whose denominators are units mod p
+        p = ring.modulus
+        return [c for c in self.POOL if p is None or c.denominator % p]
+
+    def element(self, rng, ring, n, terms=4, constant=False):
+        pool = self.pool(ring)
+        out = {rng.randrange(1 << n): rng.choice(pool) for _ in range(terms)}
+        if constant:
+            out[0] = rng.choice(pool)
+        return GrassmannElement(ring, n, out)
+
+    def results(self, rng, ring, n):
+        e = self.element(rng, ring, n)
+        f = self.element(rng, ring, n)
+        u = self.element(rng, ring, n, constant=True)
+        c = rng.choice(self.pool(ring))
+        yield from (e, f, u, e + f, e - f, e - e, -e, e * f, f * e, u * u)
+        yield from (e.scale(c), e.scale(-1), c * e)
+        yield lincomb(ring, n, [(c, e), (rng.choice(self.pool(ring)), f), (-c, e)])
+        yield lincomb(ring, n, [(1, e), (-1, e)])
+        for cap in (0, 1, n - 1, n):
+            yield dot(ring, n, [(e, f), (f, u)], cap)
+        for i in range(1, n + 1):
+            yield skew_partial(i, e)
+            yield skew_partial(i, u)
+        for selector in ("even", "odd", 0, 1, 2):
+            yield component(e, selector)
+        yield invert_unit(u)
+        yield invert_unit(u.scale(-1))
+        yield parse_element(ring, n, format_element(e))
+
+    @pytest.mark.parametrize("ring", [QQ, GF(3), GF(7)], ids=["QQ", "GF3", "GF7"])
+    def test_every_result_is_canonical(self, ring, rng):
+        for n in (3, 5):
+            for _ in range(15):
+                for e in self.results(rng, ring, n):
+                    self.assert_canonical(e)
+
+    def test_subsets_and_sums_are_reduced(self):
+        # (2*x1 + 3*x1x2) / 6: dropping a term or summing can leave a common factor
+        e = parse_element(QQ, 3, "1/3*x1 + 1/2*x1x2")
+        assert (e.num, e.den) == ({0b001: 2, 0b011: 3}, 6)
+        cases = [
+            (component(e, 1), ({0b001: 1}, 3)),
+            (component(e, 2), ({0b011: 1}, 2)),
+            (skew_partial(2, e), ({0b001: -1}, 2)),
+            (e + parse_element(QQ, 3, "-1/3*x1 + 1/2*x1x2"), ({0b011: 1}, 1)),
+            (e.scale(6), ({0b001: 2, 0b011: 3}, 1)),
+            (lincomb(QQ, 3, [(Fraction(3, 2), e)]), ({0b001: 2, 0b011: 3}, 4)),
+            # (-13/6 + x1x2)^-1 = -6/13 - 36/169*x1x2: a negative constant numerator
+            (invert_unit(parse_element(QQ, 3, "-13/6 + x1x2")),
+             ({0: -78, 0b011: -36}, 169)),
+        ]
+        for got, form in cases:
+            self.assert_canonical(got)
+            assert (got.num, got.den) == form
+
+    def test_same_element_by_every_route(self):
+        n = 3
+        routes = [
+            GrassmannElement(QQ, n, {0b001: Fraction(-13, 6), 0b110: Fraction(5, 11)}),
+            parse_element(QQ, n, "-13/6*x1 + 5/11*x2x3"),
+            parse_element(QQ, n, "-13/6*x1") + parse_element(QQ, n, "5/11*x2x3"),
+            parse_element(QQ, n, "-143*x1 + 30*x2x3").scale(Fraction(1, 66)),
+            lincomb(QQ, n, [(Fraction(-13, 6), gen(QQ, n, 1)),
+                            (Fraction(5, 11), gen(QQ, n, 2) * gen(QQ, n, 3))]),
+            dot(QQ, n, [(GrassmannElement.scalar(QQ, n, Fraction(1, 7)),
+                         parse_element(QQ, n, "-91/6*x1 + 35/11*x2x3"))], n),
+        ]
+        first = routes[0]
+        for e in routes:
+            self.assert_canonical(e)
+            assert e == first and hash(e) == hash(first) and e.terms == first.terms
+            assert format_element(e) == "-13/6*x1 + 5/11*x2x3"
