@@ -293,7 +293,8 @@ class GrassmannElement:
         _check_n(n)
         if coeff is None:
             return wrap(ring, n, {mask: 1})
-        num, den = _split(ring, {mask: c} if (c := ring.normalize(coeff)) != 0 else {})
+        c = ring.normalize(coeff)
+        num, den = _split(ring, {mask: c} if c != 0 else {})
         return wrap(ring, n, num, den)
 
     # -- ring structure ----------------------------------------------------
