@@ -100,20 +100,69 @@ class Endomorphism:
         prods[mask] = value
         return value
 
-    def apply(self, e: GrassmannElement) -> GrassmannElement:
-        if e.n != self.n or e.ring != self.ring:
-            raise DimensionMismatchError("element/endomorphism dimension mismatch")
+    def _apply_memo(self, e: GrassmannElement) -> GrassmannElement:
         return lincomb(self.ring, self.n,
                        ((c, self._product(mask)) for mask, c in e.num.items()),
                        e.den)
 
+    def apply(self, e: GrassmannElement) -> GrassmannElement:
+        """sigma(e) = sum of c_m sigma(x^m), by split-block evaluation.
+
+        The generators split into a low block of s = n - floor((n+1)/3) and a
+        high block of the rest.  With l the low and h the high bits of m,
+        x^m = x^l x^h without a sign, so sigma(e) = sum_h L_h sigma(x^h) with
+        L_h = sum_l c_{l|h} sigma(x^l): one ``lincomb`` per high group and one
+        ``dot`` over the groups.  That takes at most 2^s + 2^(n-s) memoised
+        products plus one product per high group, where the memo walk
+        (``_apply_memo``) memoises one product per monomial, up to 2^n.  An
+        argument of at most 2^s terms takes the memo walk, and the split
+        sums directly every term whose product is already memoised or has no
+        high bits, and every high group of one term.
+        """
+        if e.n != self.n or e.ring != self.ring:
+            raise DimensionMismatchError("element/endomorphism dimension mismatch")
+        n = self.n
+        s = n - (n + 1) // 3
+        if len(e.num) <= 1 << s:
+            return self._apply_memo(e)
+        prods = self._prods
+        low = (1 << s) - 1
+        direct = []
+        groups: dict[int, list] = {}
+        for mask, c in e.num.items():
+            h = mask & ~low
+            if not h or mask in prods:
+                direct.append((c, mask))
+            else:
+                groups.setdefault(h, []).append((c, mask ^ h))
+        pairs = []
+        for h, group in groups.items():
+            if len(group) == 1:
+                c, l = group[0]
+                direct.append((c, l | h))
+            else:
+                pairs.append((h, group))
+        product = self._product
+        ring, den = self.ring, e.den
+        start = lincomb(ring, n, ((c, product(m)) for c, m in direct), den)
+        return dot(ring, n,
+                   ((lincomb(ring, n, ((c, product(l)) for c, l in group), den),
+                     product(h)) for h, group in pairs),
+                   n, start)
+
     __call__ = apply
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
-        """self after other: (self.compose(other))(x_i) = self(other(x_i))."""
+        """self after other: (self.compose(other))(x_i) = self(other(x_i)).
+
+        Every image takes the memo walk, never the split of ``apply``: the
+        images' masks overlap, and sharing memoised products across the n
+        images costs less than splitting each one.
+        """
         if other.n != self.n or other.ring != self.ring:
             raise DimensionMismatchError("endomorphism dimension mismatch")
-        return Endomorphism([self.apply(im) for im in other.images], check=False)
+        return Endomorphism([self._apply_memo(im) for im in other.images],
+                            check=False)
 
     def __mul__(self, other):
         if not isinstance(other, Endomorphism):

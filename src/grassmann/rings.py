@@ -217,17 +217,19 @@ def gauss_jordan(ring: Ring, m, size: int):
     leaves column k, so ``cols`` is the identity.  Entries below the pivots
     are cleared first, those above them last and from the bottom pivot up,
     so the determinant alone costs what Gaussian elimination does.  Row
-    operations skip the zero entries of the pivot row.
+    operations skip the zero entries of the pivot row.  Entries are tested
+    for zero by truth value, which costs a ``Fraction`` about half of
+    ``!= 0``.
     """
     normalize = ring.normalize
     zero = ring.zero
 
     def clear(k, rows):  # zero column k of rows with multiples of row k
         pivot_row = m[k]
-        nonzero = [j for j, y in enumerate(pivot_row) if y != 0 and j != k]
+        nonzero = [j for j, y in enumerate(pivot_row) if y and j != k]
         for row in rows:
             f = row[k]
-            if f != 0:
+            if f:
                 row[k] = zero
                 for j in nonzero:
                     row[j] = normalize(row[j] - f * pivot_row[j])
@@ -251,7 +253,7 @@ def gauss_jordan(ring: Ring, m, size: int):
         lam = m[k][k]
         scale = normalize(scale * lam)
         lam_inv = ring.invert(lam)
-        m[k] = [normalize(y * lam_inv) if y != 0 else y for y in m[k]]
+        m[k] = [normalize(y * lam_inv) if y else y for y in m[k]]
         clear(k, m[k + 1:])
         rank = k + 1
     for k in reversed(range(1, rank)):
@@ -264,7 +266,7 @@ def _first_nonzero(m, k: int, size: int):
     scanning columns in order; None if there is none."""
     for c in range(k, size):
         for r in range(k, size):
-            if m[r][c] != 0:
+            if m[r][c]:
                 return r, c
     return None
 
