@@ -563,6 +563,8 @@ def parse_element(ring: Ring, n: int, text: str) -> GrassmannElement:
             i += 1
             if i < len(tokens) and tokens[i] == "*":
                 i += 1
+                if i == len(tokens) or tokens[i][0] != "x":
+                    raise ValueError("'*' must be followed by a monomial")
             if i < len(tokens) and tokens[i][0] == "x":
                 mask = _parse_monomial(tokens[i], n)
                 i += 1

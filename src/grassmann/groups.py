@@ -794,12 +794,19 @@ def _triple_shift_descriptors(n: int, include_i: bool):
 
 
 def enumerate_generators(group: GroupId, n: int) -> list:
-    """The one-parameter generator families of the named group."""
+    """The one-parameter generator families of the named group.
+
+    For Γ these are the triple shifts x_i -> x_i + t*x_j x_k x_l over every i
+    and every 3-set {j, k, l}, those avoiding i and those containing it:
+    n*C(n, 3) in all.  The triples avoiding i alone generate a proper subgroup;
+    their brackets never reach the degree-3 directions x_i -> x_i + x_i x_k x_l.
+    """
     kind = group.kind
     if kind == "gamma":
         if n < 2:
             raise ValueError("need n >= 2")
-        return _triple_shift_descriptors(n, include_i=False)
+        return (_triple_shift_descriptors(n, include_i=False)
+                + _triple_shift_descriptors(n, include_i=True))
     if kind == "u":
         gens = _triple_shift_descriptors(n, include_i=False)
         gens += [GeneratorDescriptor("omega", None, None, 1 << (i - 1))

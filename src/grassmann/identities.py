@@ -9,7 +9,7 @@ violations raise ``ConstraintError``.
 
 from __future__ import annotations
 
-from .algebra import GrassmannElement, indices_mask, lincomb, odd_part
+from .algebra import GrassmannElement, indices_mask, lincomb, mask_indices, odd_part
 from .endo import (
     Endomorphism,
     coordinate_shift,
@@ -39,15 +39,7 @@ def ordered_product(ring: Ring, n: int, indices, coeff=None) -> GrassmannElement
 
 def _mask_sorted(mask_or_indices):
     if isinstance(mask_or_indices, int):
-        mask = mask_or_indices
-        out = []
-        i = 1
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return tuple(out)
+        return tuple(mask_indices(mask_or_indices))
     return tuple(mask_or_indices)
 
 

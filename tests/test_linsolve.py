@@ -13,6 +13,7 @@ from grassmann.linsolve import (
 )
 from grassmann.sampling import random_element
 from grassmann.skewcalc import skew_partial
+from grassmann.verify import check_partial_solver, check_xi_solver
 
 
 def gen(ring, n, i):
@@ -83,16 +84,9 @@ class TestXiSystem:
             solve_xi_system(u)
         assert exc.value.condition == "anticommute"
 
-    def test_round_trip_random(self, ring, rng):
-        n = 6
-        for _ in range(100):
-            a = random_element(rng, ring, n, terms=4)
-            u = [gen(ring, n, i) * a for i in range(1, n + 1)]
-            family = solve_xi_system(u)
-            sol = family.at(ring.random(rng))
-            assert all(gen(ring, n, i) * sol == u[i - 1] for i in range(1, n + 1))
-            diff = family.particular - a
-            assert set(diff.terms) <= {(1 << n) - 1}
+    def test_round_trip_random(self, ring, battery):
+        # solutions along the family, the generator, a rejected perturbation
+        battery(check_xi_solver, ring, 6, 100)
 
 
 class TestPartialSystem:
@@ -129,15 +123,8 @@ class TestPartialSystem:
             solve_partial_system(u)
         assert exc.value.condition == "skew-symmetry"
 
-    def test_round_trip_random(self, ring, rng):
-        n = 6
-        for _ in range(100):
-            a = random_element(rng, ring, n, terms=4)
-            u = [skew_partial(i, a) for i in range(1, n + 1)]
-            family = solve_partial_system(u)
-            sol = family.at(ring.random(rng))
-            assert all(skew_partial(i, sol) == u[i - 1] for i in range(1, n + 1))
-            assert (family.particular - a).max_degree() <= 0
+    def test_round_trip_random(self, ring, battery):
+        battery(check_partial_solver, ring, 6, 100)
 
 
 class TestLayerSplit:

@@ -6,9 +6,15 @@ from grassmann.skewcalc import (
     apply_partial_word,
     coordinate_projection,
     phi_projection,
-    phi_projection_by_composition,
     skew_partial,
     taylor_reconstruct,
+)
+from grassmann.verify import (
+    check_identity_operator,
+    check_operator_relations,
+    check_projections,
+    check_skew_leibniz,
+    check_taylor,
 )
 
 
@@ -42,31 +48,12 @@ class TestSkewPartial:
         with pytest.raises(ValueError):
             skew_partial(5, elem(ring, 3, "x1"))
 
-    def test_skew_leibniz(self, ring, rng):
-        n = 6
-        for _ in range(200):
-            d = rng.randrange(0, n + 1)
-            e = random_element(rng, ring, n, degrees=[d], terms=3)
-            f = random_element(rng, ring, n, terms=3)
-            k = rng.randrange(1, n + 1)
-            sign = ring.from_int(-1 if d % 2 else 1)
-            assert skew_partial(k, e * f) == (
-                skew_partial(k, e) * f + (e * skew_partial(k, f)).scale(sign))
+    def test_skew_leibniz(self, ring, battery):
+        battery(check_skew_leibniz, ring, 6, 200)
 
-    def test_operator_relations(self, ring, rng):
-        n = 5
-        zero = GrassmannElement.zero(ring, n)
-        for _ in range(100):
-            e = random_element(rng, ring, n, terms=4)
-            i = rng.randrange(1, n + 1)
-            j = rng.randrange(1, n + 1)
-            assert skew_partial(i, skew_partial(i, e)) == zero
-            if i != j:
-                assert (skew_partial(i, skew_partial(j, e))
-                        + skew_partial(j, skew_partial(i, e))) == zero
-            mixed = (skew_partial(i, gen(ring, n, j) * e)
-                     + gen(ring, n, j) * skew_partial(i, e))
-            assert mixed == (e if i == j else zero)
+    def test_operator_relations(self, ring, battery):
+        # d_i^2 = 0, d_i d_j = -d_j d_i and d_i x_j + x_j d_i = delta_ij
+        battery(check_operator_relations, ring, 5, 100)
 
 
 class TestPartialWord:
@@ -94,30 +81,17 @@ class TestProjections:
     def test_annihilates_own_multiples(self, ring):
         assert not coordinate_projection(2, elem(ring, 3, "x1x2"))
 
-    def test_idempotent(self, ring, rng):
-        n = 5
-        for _ in range(50):
-            e = random_element(rng, ring, n, terms=4)
-            i = rng.randrange(1, n + 1)
-            once = coordinate_projection(i, e)
-            assert coordinate_projection(i, once) == once
+    def test_idempotent(self, ring, battery):
+        battery(check_projections, ring, 5, 50)
 
     def test_constant_projection_values(self, ring):
         assert phi_projection(elem(ring, 3, "1 + 3*x1 + 2*x1x2")) == ring.one
         assert phi_projection(elem(ring, 3, "x1x2")) == ring.zero
 
-    def test_composition_equals_word_expansion(self, ring, rng):
-        # the composite projection equals the alternating sum of word operators
-        n = 5
-        for _ in range(100):
-            e = random_element(rng, ring, n, terms=4)
-            expansion = GrassmannElement.zero(ring, n)
-            for mask in range(1 << n):
-                term = GrassmannElement.monomial(ring, n, mask) * apply_partial_word(e, mask)
-                expansion = expansion + (term if bin(mask).count("1") % 2 == 0 else -term)
-            composed = phi_projection_by_composition(e)
-            assert expansion == composed
-            assert composed == GrassmannElement.scalar(ring, n, phi_projection(e))
+    def test_composition_equals_word_expansion(self, ring, battery):
+        # the composite projection equals the alternating sum of word
+        # operators and the constant term
+        battery(check_projections, ring, 5, 100)
 
 
 class TestTaylor:
@@ -131,12 +105,8 @@ class TestTaylor:
         assert taylor_reconstruct(z, "at_zero") == z
         assert taylor_reconstruct(z, "projected") == z
 
-    def test_random_round_trip(self, ring, rng):
-        n = 6
-        for _ in range(100):
-            e = random_element(rng, ring, n, terms=5)
-            assert taylor_reconstruct(e, "at_zero") == e
-            assert taylor_reconstruct(e, "projected") == e
+    def test_random_round_trip(self, ring, battery):
+        battery(check_taylor, ring, 6, 100)
 
     def test_bad_mode(self, ring):
         with pytest.raises(ValueError):
@@ -144,15 +114,5 @@ class TestTaylor:
 
 
 class TestIdentityOperator:
-    def test_triangular_decomposition(self, ring, rng):
-        n = 6
-        full = (1 << n) - 1
-        for _ in range(100):
-            e = random_element(rng, ring, n, terms=5)
-            acc = GrassmannElement.monomial(ring, n, full) * apply_partial_word(e, full)
-            for i in range(1, n):
-                prefix = (1 << i) - 1
-                acc = acc + GrassmannElement.monomial(ring, n, prefix) * (
-                    apply_partial_word(coordinate_projection(i + 1, e), prefix))
-            acc = acc + coordinate_projection(1, e)
-            assert acc == e
+    def test_triangular_decomposition(self, ring, battery):
+        battery(check_identity_operator, ring, 6, 100)
