@@ -41,7 +41,10 @@ def _read_arg(text: str) -> str:
     """Inline expression, or the contents of a file when prefixed with '@'."""
     if text.startswith("@"):
         from pathlib import Path
-        return Path(text[1:]).read_text()
+        try:
+            return Path(text[1:]).read_text()
+        except OSError as err:
+            raise ValueError(f"cannot read {text[1:]}: {err.strerror}") from None
     return text
 
 

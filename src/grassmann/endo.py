@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import (
     DimensionMismatchError,
@@ -16,13 +17,14 @@ from .algebra import (
     element_to_json,
     dot,
     even_part,
+    from_num,
     invert_unit,
     lincomb,
     odd_part,
     parse_element,
     restrict,
 )
-from .rings import NotAUnitError, Ring, gauss_jordan, mat_det, mat_inv
+from .rings import NotAUnitError, Ring, gauss_jordan_num, mat_det, mat_inv
 from .skewcalc import skew_partial
 
 
@@ -384,11 +386,13 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
     of the inverse (Gauss-Jordan on ``[matrix | I]``) when ``inverse`` is set
     and ``None`` otherwise.  Two passes:
 
-    1. ``gauss_jordan`` on ``[J0 | I]``, with J0 the constant terms, gives the
-       scalar row-operation transform t and the column order ``cols``; the
-       rows become ``t * matrix`` with columns in that order, each entry one
-       ``lincomb``.  For a linear part of rank r, the r pivots become
-       1 + nilpotent and every other entry of their columns becomes
+    1. ``gauss_jordan_num`` on ``[J0 | I]``, with J0 the constant terms read
+       as int numerators over each row's lcm of denominators, gives the
+       scalar row-operation transform t, as int rows over row denominators,
+       and the column order ``cols``; the rows become ``t * matrix`` with
+       columns in that order, each entry one ``lincomb`` of the ints over
+       the row denominator.  For a linear part of rank r, the r pivots
+       become 1 + nilpotent and every other entry of their columns becomes
        nilpotent, which keeps the products of the second pass sparse.
     2. Elimination of those r columns, dividing by the pivots with
        ``invert_unit``: O(n^3) element products, each row operation
@@ -401,19 +405,23 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
     appended to the rows as scalars.
     """
     size = len(matrix)
-    j0 = [[e.constant_term() for e in row]
-          + [ring.one if j == i else ring.zero for j in range(size)]
-          for i, row in enumerate(matrix)]
+    j0, dens = [], []
+    for i, row in enumerate(matrix):
+        d = lcm(*[e.den for e in row if 0 in e.num])
+        j0.append([e.num.get(0, 0) * (d // e.den) for e in row]
+                  + [d if j == i else 0 for j in range(size)])
+        dens.append(d)
     # det(matrix) = scalar * det(rows) through pass 1
-    scalar, cols, rank = gauss_jordan(ring, j0, size)
+    scalar, cols, rank = gauss_jordan_num(ring, j0, dens, size)
     if inverse and rank < size:
         raise NotInvertibleError("linear part is singular")
     t = [row[size:] for row in j0]
     columns = [[row[c] for row in matrix] for c in cols]
-    rows = [[lincomb(ring, n, zip(t_row, col)) for col in columns] for t_row in t]
+    rows = [[lincomb(ring, n, zip(t_row, col), d) for col in columns]
+            for t_row, d in zip(t, dens)]
     if inverse:
-        for row, t_row in zip(rows, t):
-            row.extend(GrassmannElement.scalar(ring, n, x) for x in t_row)
+        for row, t_row, d in zip(rows, t, dens):
+            row.extend(from_num(ring, n, {0: x}, d) for x in t_row)
     det = GrassmannElement.scalar(ring, n, scalar)
     width = len(rows[0])
     for k in range(rank):

@@ -5,14 +5,20 @@ canonical ``int`` representatives in ``[0, p)`` for a prime field); the ring
 object supplies normalization, inversion, parsing and formatting.  Both rings
 are fields in which 2 is invertible, which the rest of the library assumes.
 
-``gauss_jordan`` is the one scalar elimination of the library: ``mat_det``
-and ``mat_inv`` wrap it, and so does the first pass of the local-ring
-elimination behind the Jacobian determinant (``endo._eliminate``).
+``gauss_jordan_num`` is the one scalar elimination loop of the library, for
+both fields.  It holds each row as int numerators over one positive row
+denominator, the ``num``/``den`` form of ``GrassmannElement``, so a row
+operation is one cross-multiplication and one gcd over the row (``% p`` over
+GF(p)).  ``gauss_jordan`` runs it on a matrix of field elements, and
+``mat_det``, ``mat_inv`` and the first pass of the local-ring elimination
+behind the Jacobian determinant (``endo._eliminate``) run it on numerators
+directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 Coefficient = Union[Fraction, int]
@@ -210,55 +216,125 @@ def gauss_jordan(ring: Ring, m, size: int):
     with ``cols[j]`` the original index of column j and ``scale`` the signed
     product of the pivots, so the determinant is ``scale`` if ``rank == size``
     and 0 otherwise.  Columns past ``size`` follow the row operations: append
-    nothing for the determinant, I for the inverse or the transform.
+    nothing for the determinant, I for the inverse or the transform.  The
+    rows are split into integer numerators, eliminated by
+    ``gauss_jordan_num`` and written back as field elements.
+    """
+    num, den = split_rows(ring, m)
+    result = gauss_jordan_num(ring, num, den, size)
+    m[:] = [join_row(ring, row, d) for row, d in zip(num, den)]
+    return result
+
+
+def gauss_jordan_num(ring: Ring, num, den, size: int):
+    """``gauss_jordan`` on rows held as ``num[i][j] / den[i]``.
+
+    ``num`` holds int rows and ``den`` their positive denominators, both
+    updated in place: over QQ each row is reduced to coprime numerators
+    after every operation, over GF(p) ``den`` stays 1 and the numerators are
+    residues.  Returns ``(scale, cols, rank)`` as ``gauss_jordan`` does, with
+    ``scale`` a field element.
 
     The pivot is the first nonzero entry of the remaining block, searched
     column by column.  Invariant: on an invertible block the search never
     leaves column k, so ``cols`` is the identity.  Entries below the pivots
     are cleared first, those above them last and from the bottom pivot up,
-    so the determinant alone costs what Gaussian elimination does.  Row
-    operations skip the zero entries of the pivot row.  Entries are tested
-    for zero by truth value, which costs a ``Fraction`` about half of
-    ``!= 0``.
+    so the determinant alone costs what Gaussian elimination does.  A pivot
+    row is scaled so that its pivot numerator equals its denominator d;
+    clearing column k of a row r over e is then the one cross-multiplication
+    r * d - r[k] * pivot_row over e * d, reduced with one gcd over the row.
+    Over GF(p), where d is 1, it is r - r[k] * pivot_row reduced ``% p``,
+    in place on the pivot row's nonzero columns.  No ``Fraction`` is built.
     """
-    normalize = ring.normalize
-    zero = ring.zero
+    p = ring.modulus
 
     def clear(k, rows):  # zero column k of rows with multiples of row k
-        pivot_row = m[k]
-        nonzero = [j for j, y in enumerate(pivot_row) if y and j != k]
-        for row in rows:
+        pivot_row, d = num[k], den[k]
+        if p is not None:
+            support = [(j, y) for j, y in enumerate(pivot_row) if y]
+        for i in rows:
+            row = num[i]
             f = row[k]
-            if f:
-                row[k] = zero
-                for j in nonzero:
-                    row[j] = normalize(row[j] - f * pivot_row[j])
+            if not f:
+                continue
+            if p is None:
+                row = [x * d - f * y for x, y in zip(row, pivot_row)]
+                e = den[i] * d
+                g = gcd(e, *row)
+                if g != 1:
+                    row = [x // g for x in row]
+                    e //= g
+                num[i], den[i] = row, e
+            else:  # d == 1, and only the pivot row's support changes
+                for j, y in support:
+                    row[j] = (row[j] - f * y) % p
 
     cols = list(range(size))
-    scale = ring.one
+    scale_num = scale_den = 1
     rank = 0
     for k in range(size):
-        pivot = _first_nonzero(m, k, size)
+        pivot = _first_nonzero(num, k, size)
         if pivot is None:
             break
         r, c = pivot
         if r != k:
-            m[k], m[r] = m[r], m[k]
-            scale = -scale
+            num[k], num[r] = num[r], num[k]
+            den[k], den[r] = den[r], den[k]
+            scale_num = -scale_num
         if c != k:
-            for row in m:
+            for row in num:
                 row[k], row[c] = row[c], row[k]
             cols[k], cols[c] = cols[c], cols[k]
-            scale = -scale
-        lam = m[k][k]
-        scale = normalize(scale * lam)
-        lam_inv = ring.invert(lam)
-        m[k] = [normalize(y * lam_inv) if y else y for y in m[k]]
-        clear(k, m[k + 1:])
+            scale_num = -scale_num
+        row = num[k]
+        lam = row[k]  # the pivot is lam / den[k]
+        scale_num *= lam
+        scale_den *= den[k]
+        if p is None:
+            if lam < 0:
+                row = [-x for x in row]
+                lam = -lam
+            g = gcd(*row)
+            if g != 1:
+                row = [x // g for x in row]
+                lam //= g
+            den[k] = lam
+        else:
+            lam_inv = pow(lam, p - 2, p)
+            row = [x * lam_inv % p for x in row]
+        num[k] = row
+        clear(k, range(k + 1, size))
         rank = k + 1
     for k in reversed(range(1, rank)):
-        clear(k, m[:k])
-    return scale, cols, rank
+        clear(k, range(k))
+    if p is None:
+        return Fraction(scale_num, scale_den), cols, rank
+    return scale_num % p, cols, rank
+
+
+def split_rows(ring: Ring, m):
+    """``(num, den)`` for rows of normalized field elements: over QQ each
+    row's denominator is the lcm of its entries' denominators, over GF(p)
+    it is 1 and the numerators are the entries."""
+    if ring.modulus is not None:
+        return [list(row) for row in m], [1] * len(m)
+    num, den = [], []
+    for row in m:
+        ratios = [c.as_integer_ratio() for c in row]
+        d = lcm(*[q for _, q in ratios])
+        num.append([a * (d // q) for a, q in ratios])
+        den.append(d)
+    return num, den
+
+
+def join_row(ring: Ring, row, d: int) -> list:
+    """The field elements ``row[j] / d`` of one ``split_rows`` row."""
+    if ring.modulus is not None:
+        return list(row)
+    zero = ring.zero
+    if d == 1:
+        return [Fraction(a) if a else zero for a in row]
+    return [Fraction(a, d) if a else zero for a in row]
 
 
 def _first_nonzero(m, k: int, size: int):
@@ -272,17 +348,19 @@ def _first_nonzero(m, k: int, size: int):
 
 
 def mat_det(ring: Ring, a) -> Coefficient:
-    """Determinant over K, from ``gauss_jordan`` on a copy of a."""
+    """Determinant over K, from ``gauss_jordan_num`` on the numerators of a."""
     n = len(a)
-    scale, _, rank = gauss_jordan(ring, [row[:] for row in a], n)
+    scale, _, rank = gauss_jordan_num(ring, *split_rows(ring, a), n)
     return scale if rank == n else ring.zero
 
 
 def mat_inv(ring: Ring, a):
-    """Inverse of an invertible matrix over K: ``gauss_jordan`` on [a | I]."""
+    """Inverse of an invertible matrix over K: ``gauss_jordan_num`` on
+    [a | I], with I over each row's denominator."""
     n = len(a)
-    m = [row[:] + [ring.one if i == j else ring.zero for j in range(n)]
-         for i, row in enumerate(a)]
-    if gauss_jordan(ring, m, n)[2] < n:
+    num, den = split_rows(ring, a)
+    for i, (row, d) in enumerate(zip(num, den)):
+        row.extend(d if j == i else 0 for j in range(n))
+    if gauss_jordan_num(ring, num, den, n)[2] < n:
         raise NotAUnitError("matrix is singular")
-    return [row[n:] for row in m]
+    return [join_row(ring, row[n:], d) for row, d in zip(num, den)]

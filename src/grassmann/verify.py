@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .algebra import (
     GrassmannElement,
     component,
+    dot,
     even_part,
     indices_mask,
     involution,
@@ -195,12 +196,23 @@ def check_odd_squares(ring: Ring, n: int, samples: int, seed) -> CheckResult:
 
 
 def check_unit_inversion(ring: Ring, n: int, samples: int, seed) -> CheckResult:
+    """e * e^-1 = 1 for units e = c + f with f nilpotent.
+
+    Besides four random terms, f holds x_a x_b for each pair of a random
+    pairing of the generators (x_c for the one left over at odd n), so f^k
+    is nonzero up to k = ceil(n/2), the longest geometric series that
+    ``invert_unit`` sums; random terms alone rarely reach past f^2.
+    """
     failures = []
     one = GrassmannElement.one(ring, n)
     for k in range(samples):
         rng = spawn(seed, "unit", k)
         e = one.scale(ring.random_nonzero(rng)) + random_element(
-            rng, ring, n, degrees=range(1, n + 1), terms=3)
+            rng, ring, n, degrees=range(1, n + 1), terms=4)
+        order = rng.sample(range(1, n + 1), n)
+        for i in range(0, n, 2):
+            e = e + GrassmannElement.monomial(
+                ring, n, indices_mask(order[i:i + 2]), ring.random_nonzero(rng))
         if e * invert_unit(e) != one:
             failures.append(f"sample {k}")
     return _result(f"unit inversion n={n}", failures, samples)
@@ -451,13 +463,11 @@ def check_chain_rule(ring: Ring, n: int, samples: int, seed) -> CheckResult:
         st = sigma.compose(tau)
         jst = st.jacobian()
         # matrix chain rule: entry (i, j) of the composite matrix
+        js_cols = list(zip(*js.matrix))
         for i in range(n):
             row = [sigma.apply(entry) for entry in jt.matrix[i]]
             for j in range(n):
-                acc = GrassmannElement.zero(ring, n)
-                for t in range(n):
-                    acc = acc + row[t] * js.matrix[t][j]
-                if acc != jst.matrix[i][j]:
+                if dot(ring, n, zip(row, js_cols[j]), n) != jst.matrix[i][j]:
                     failures.append(f"matrix entry ({i + 1},{j + 1}): sample {k}")
                     break
             else:

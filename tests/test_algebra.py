@@ -31,6 +31,7 @@ from grassmann.verify import (
     check_involution,
     check_nilpotency,
     check_odd_squares,
+    check_unit_inversion,
 )
 
 
@@ -384,13 +385,8 @@ class TestUnitInversion:
         assert e * invert_unit(e) == one
         assert invert_unit(e) * e == one
 
-    def test_random_units(self, ring, rng):
-        n = 5
-        one = GrassmannElement.one(ring, n)
-        for _ in range(50):
-            e = one.scale(ring.random_nonzero(rng)) + random_element(
-                rng, ring, n, degrees=range(1, n + 1), terms=4)
-            assert e * invert_unit(e) == one
+    def test_random_units(self, ring, battery):
+        battery(check_unit_inversion, ring, 5, 50)
 
     def test_non_unit_rejected(self, ring):
         with pytest.raises(NotAUnitError):

@@ -285,3 +285,19 @@ class TestFileInputs:
         path.write_text("1 + x1x2\n")
         code, out, _ = run_cli(capsys, "preimage", "--n", "5", f"@{path}")
         assert code == 0
+
+    def test_missing_file_reported(self, capsys, tmp_path):
+        path = tmp_path / "missing.txt"
+        code, out, err = run_cli(capsys, "apply", "--n", "3",
+                                 "--endo", f"@{path}", "x1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {path}: No such file or directory"
+
+    def test_directory_reported(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "apply", "--n", "3",
+                                 "--endo", "x1 -> x1\nx2 -> x2\nx3 -> x3",
+                                 f"@{tmp_path}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {tmp_path}: ")

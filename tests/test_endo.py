@@ -23,7 +23,7 @@ from grassmann.endo import (
     linear_endo,
     parse_endomorphism,
 )
-from grassmann.rings import GF, QQ, NotAUnitError, gauss_jordan
+from grassmann.rings import GF, QQ, NotAUnitError, gauss_jordan, mat_det, mat_inv
 from grassmann.sampling import (
     random_automorphism,
     random_element,
@@ -441,6 +441,30 @@ class TestEliminationKernel:
         sigma = endo(ring, 2, "x1 -> x1 + x1x2; x2 -> x2")
         with pytest.raises(ParityError, match="purely odd images"):
             sigma.dual_skew_partial(1, gen(ring, 2, 1))
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_constant_inverse_matches_mat_inv(self, ring):
+        # on scalar entries pass 1 does all the work, so its int transform
+        # over the row denominators must come out as the scalar inverse
+        rng = spawn(41, "kernel-constant", str(ring))
+        n = 3
+        singular = 0
+        for size in range(1, 8):
+            for _ in range(4):
+                a = [[ring.random(rng) for _ in range(size)] for _ in range(size)]
+                matrix = [[GrassmannElement.scalar(ring, n, c) for c in row] for row in a]
+                det = mat_det(ring, a)
+                if det == ring.zero:
+                    singular += 1
+                    with pytest.raises(NotInvertibleError):
+                        _eliminate(ring, n, matrix, inverse=True)
+                    assert _eliminate(ring, n, matrix)[0] == GrassmannElement.zero(ring, n)
+                    continue
+                got_det, inv = _eliminate(ring, n, matrix, inverse=True)
+                assert got_det == GrassmannElement.scalar(ring, n, det)
+                assert inv == [[GrassmannElement.scalar(ring, n, c) for c in row]
+                               for row in mat_inv(ring, a)]
+        assert singular
 
     def test_singular_linear_part_raises(self, ring):
         sigma = Endomorphism([gen(ring, 2, 2), gen(ring, 2, 2)], check=False)
