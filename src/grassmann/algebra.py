@@ -300,7 +300,10 @@ class GrassmannElement:
     # -- ring structure ----------------------------------------------------
 
     def _check_compatible(self, other: "GrassmannElement") -> None:
-        if self.n != other.n or self.ring != other.ring:
+        # operands almost always share one ring object; `is` skips the
+        # Python-level __eq__ for them
+        if self.n != other.n or (
+                self.ring is not other.ring and self.ring != other.ring):
             raise DimensionMismatchError(
                 f"incompatible operands: n={self.n}/{other.n}, "
                 f"ring={self.ring!r}/{other.ring!r}")

@@ -55,13 +55,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _emit(args, text_value: str, json_value) -> None:
+def _emit(args, text, payload) -> None:
+    """Print ``text()`` or, for ``--format json``, the ``payload()`` dict
+    under the schema tag; only the one that is printed gets built."""
     if args.format == "json":
-        payload = {"schema": SCHEMA}
-        payload.update(json_value)
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps({"schema": SCHEMA, **payload()}, indent=2, sort_keys=True))
     else:
-        print(text_value)
+        print(text())
 
 
 def _cmd_mul(args) -> int:
@@ -69,8 +69,8 @@ def _cmd_mul(args) -> int:
     e = parse_element(ring, args.n, _read_arg(args.left))
     f = parse_element(ring, args.n, _read_arg(args.right))
     product = e * f
-    _emit(args, format_element(product),
-          {"type": "element", **element_to_json(product)})
+    _emit(args, lambda: format_element(product),
+          lambda: {"type": "element", **element_to_json(product)})
     return 0
 
 
@@ -79,8 +79,8 @@ def _cmd_apply(args) -> int:
     sigma = parse_endomorphism(ring, args.n, _read_arg(args.endo))
     e = parse_element(ring, args.n, _read_arg(args.element))
     result = sigma.apply(e)
-    _emit(args, format_element(result),
-          {"type": "element", **element_to_json(result)})
+    _emit(args, lambda: format_element(result),
+          lambda: {"type": "element", **element_to_json(result)})
     return 0
 
 
@@ -88,14 +88,13 @@ def _cmd_jacobian(args) -> int:
     ring = ring_from_name(args.field)
     sigma = parse_endomorphism(ring, args.n, _read_arg(args.endo))
     data = sigma.jacobian()
-    json_value = {
+    _emit(args, lambda: format_element(data.det), lambda: {
         "type": "jacobian",
         "det": element_to_json(data.det),
         "valuation": data.valuation,
         "matrix": [[element_to_json(entry)["terms"] for entry in row]
                    for row in data.matrix],
-    }
-    _emit(args, format_element(data.det), json_value)
+    })
     return 0
 
 
@@ -103,67 +102,73 @@ def _cmd_invert(args) -> int:
     ring = ring_from_name(args.field)
     sigma = parse_endomorphism(ring, args.n, _read_arg(args.endo))
     inv = sigma.inverse(args.strategy)
-    _emit(args, format_endomorphism(inv),
-          {"type": "endomorphism", **endomorphism_to_json(inv)})
+    _emit(args, lambda: format_endomorphism(inv),
+          lambda: {"type": "endomorphism", **endomorphism_to_json(inv)})
     return 0
+
+
+def _describe_oga(fact) -> str:
+    return (f"inner: 1 + {format_element(fact.a)}\n"
+            + "\n".join(f"shift b{i + 1}: {format_element(b)}"
+                        for i, b in enumerate(fact.b))
+            + "\nmatrix rows: "
+            + "; ".join("[" + ", ".join(str(c) for c in row) + "]"
+                        for row in fact.matrix))
+
+
+def _describe_unipotent(word) -> str:
+    lines = []
+    for kind, data in word.factors:
+        if kind == "inner":
+            lines.append(f"inner: 1 + {format_element(data)}")
+        else:
+            lines.append("shift: " + "; ".join(
+                f"x{i + 1} += {format_element(b)}" for i, b in enumerate(data) if b))
+    return "\n".join(lines) if lines else "identity"
+
+
+def _describe_gamma(word) -> str:
+    lines = [f"scaling part: {format_endomorphism(word.phi)}"]
+    for degree, cs in sorted(word.xis.items()):
+        if any(cs):
+            lines.append(f"degree-{degree} shifts: " + "; ".join(
+                f"x{i + 1} += {format_element(c)}" for i, c in enumerate(cs) if c))
+    return "\n".join(lines)
+
+
+def _describe_sigma_prime(word) -> str:
+    coords = word.to_json()["coordinates"]
+    return ("\n".join(f"s={c['s']} i={c['i']} support={c['support']} "
+                      f"coeff={c['coeff']}" for c in coords)
+            if coords else "identity")
+
+
+def _describe_layers(word) -> str:
+    lines = [f"degree-{2 * s} layer: {format_element(a)}"
+             for s, a in sorted(word.layers.items()) if a]
+    lines.append(f"Jacobian-1 tail: {format_endomorphism(word.tail)}")
+    return "\n".join(lines)
+
+
+_DECOMPOSITIONS = {
+    "oga": (decompose_omega_gamma_linear, _describe_oga),
+    "unipotent": (decompose_unipotent, _describe_unipotent),
+    "gamma": (decompose_gamma, _describe_gamma),
+    "sigma-prime": (decompose_sigma_prime, _describe_sigma_prime),
+    "layers": (decompose_layers, _describe_layers),
+}
 
 
 def _cmd_decompose(args) -> int:
     ring = ring_from_name(args.field)
     sigma = parse_endomorphism(ring, args.n, _read_arg(args.endo))
-    if args.mode == "oga":
-        fact = decompose_omega_gamma_linear(sigma)
-        report = fact.to_json()
-        verified = fact.recompose(ring, args.n) == sigma
-        text = (f"inner: 1 + {format_element(fact.a)}\n"
-                + "\n".join(f"shift b{i + 1}: {format_element(b)}"
-                            for i, b in enumerate(fact.b))
-                + "\nmatrix rows: "
-                + "; ".join("[" + ", ".join(str(c) for c in row) + "]"
-                            for row in fact.matrix))
-    elif args.mode == "unipotent":
-        word = decompose_unipotent(sigma)
-        report = word.to_json()
-        verified = word.recompose() == sigma
-        lines = []
-        for kind, data in word.factors:
-            if kind == "inner":
-                lines.append(f"inner: 1 + {format_element(data)}")
-            else:
-                lines.append("shift: " + "; ".join(
-                    f"x{i + 1} += {format_element(b)}" for i, b in enumerate(data) if b))
-        text = "\n".join(lines) if lines else "identity"
-    elif args.mode == "gamma":
-        word = decompose_gamma(sigma)
-        report = word.to_json()
-        verified = word.recompose() == sigma
-        lines = [f"scaling part: {format_endomorphism(word.phi)}"]
-        for degree, cs in sorted(word.xis.items()):
-            if any(cs):
-                lines.append(f"degree-{degree} shifts: " + "; ".join(
-                    f"x{i + 1} += {format_element(c)}" for i, c in enumerate(cs) if c))
-        text = "\n".join(lines)
-    elif args.mode == "sigma-prime":
-        word = decompose_sigma_prime(sigma)
-        report = word.to_json()
-        verified = word.recompose() == sigma
-        coords = report["coordinates"]
-        text = ("\n".join(f"s={c['s']} i={c['i']} support={c['support']} "
-                          f"coeff={c['coeff']}" for c in coords)
-                if coords else "identity")
-    elif args.mode == "layers":
-        word = decompose_layers(sigma)
-        report = word.to_json()
-        verified = word.recompose() == sigma
-        lines = [f"degree-{2 * s} layer: {format_element(a)}"
-                 for s, a in sorted(word.layers.items()) if a]
-        lines.append(f"Jacobian-1 tail: {format_endomorphism(word.tail)}")
-        text = "\n".join(lines)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.mode)
-    report["verified"] = verified
-    _emit(args, text + f"\nverified: {verified}", {"type": "factorization", **report})
-    return 0 if verified else 1
+    decompose, describe = _DECOMPOSITIONS[args.mode]
+    # each decompose_* raises DecompositionError unless its factors
+    # recompose to sigma, so a returned factorization is verified
+    fact = decompose(sigma)
+    _emit(args, lambda: describe(fact) + "\nverified: True",
+          lambda: {"type": "factorization", **fact.to_json(), "verified": True})
+    return 0
 
 
 def _cmd_member(args) -> int:
@@ -171,8 +176,8 @@ def _cmd_member(args) -> int:
     sigma = parse_endomorphism(ring, args.n, _read_arg(args.endo))
     group = parse_group_id(args.group)
     flag = member(sigma, group)
-    _emit(args, str(flag).lower(),
-          {"type": "membership", "group": str(group), "member": flag})
+    _emit(args, lambda: str(flag).lower(),
+          lambda: {"type": "membership", "group": str(group), "member": flag})
     return 0
 
 
@@ -182,48 +187,56 @@ def _cmd_preimage(args) -> int:
     try:
         result = jacobian_preimage(u, exact=not args.inexact)
     except NoPreimageError as err:
-        _emit(args, f"no preimage: {err}",
-              {"type": "preimage", "exists": False, "reason": str(err)})
+        _emit(args, lambda: f"no preimage: {err}",
+              lambda: {"type": "preimage", "exists": False, "reason": str(err)})
         return 1
-    json_value = {
-        "type": "preimage",
-        "exists": True,
-        "sigma": endomorphism_to_json(result.sigma),
-        "achieved": element_to_json(result.achieved),
-    }
-    text = format_endomorphism(result.sigma)
-    if result.forced_top is not None:
-        json_value["forced_top"] = ring.format(result.forced_top)
-        text += f"\nforced top coefficient: {ring.format(result.forced_top)}"
-    _emit(args, text, json_value)
+    top = result.forced_top
+
+    def text():
+        out = format_endomorphism(result.sigma)
+        if top is not None:
+            out += f"\nforced top coefficient: {ring.format(top)}"
+        return out
+
+    def payload():
+        out = {
+            "type": "preimage",
+            "exists": True,
+            "sigma": endomorphism_to_json(result.sigma),
+            "achieved": element_to_json(result.achieved),
+        }
+        if top is not None:
+            out["forced_top"] = ring.format(top)
+        return out
+
+    _emit(args, text, payload)
     return 0
 
 
 def _cmd_dims(args) -> int:
     formula = dim_formula(args.group, args.n)
     coords = dim_by_coordinates(args.group, args.n)
-    _emit(args, f"formula={formula} coordinates={coords}",
-          {"type": "dimension", "group": args.group, "n": args.n,
-           "formula": formula, "coordinates": coords})
+    _emit(args, lambda: f"formula={formula} coordinates={coords}",
+          lambda: {"type": "dimension", "group": args.group, "n": args.n,
+                   "formula": formula, "coordinates": coords})
     return 0 if formula == coords else 1
 
 
 def _cmd_generators(args) -> int:
-    ring = ring_from_name(args.field)
+    ring_from_name(args.field)  # a bad --field fails here, as in every command
     group = parse_group_id(args.group)
     gens = enumerate_generators(group, args.n)
-    lines = [g.describe() for g in gens]
-    json_value = {
-        "type": "generators",
-        "group": str(group),
-        "count": len(gens),
-        "generators": [
-            {"kind": g.kind, "i": g.i, "j": g.j, "mask": g.mask,
-             "description": g.describe()}
-            for g in gens
-        ],
-    }
-    _emit(args, "\n".join(lines) + f"\ntotal: {len(gens)}", json_value)
+    _emit(args, lambda: "\n".join(g.describe() for g in gens) + f"\ntotal: {len(gens)}",
+          lambda: {
+              "type": "generators",
+              "group": str(group),
+              "count": len(gens),
+              "generators": [
+                  {"kind": g.kind, "i": g.i, "j": g.j, "mask": g.mask,
+                   "description": g.describe()}
+                  for g in gens
+              ],
+          })
     return 0
 
 
@@ -286,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--endo", required=True)
     p.add_argument("--mode", required=True,
-                   choices=("oga", "unipotent", "gamma", "sigma-prime", "layers"))
+                   choices=tuple(_DECOMPOSITIONS))
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("member", help="decide subgroup membership")

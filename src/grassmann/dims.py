@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
+from .groups import normalize_group_name
 from .linsolve import admissible_supports
 
 
@@ -24,21 +25,6 @@ _SIGMA_FAMILY = {
 }
 
 
-def _normalize_group(group) -> tuple[str, int | None]:
-    if not isinstance(group, str):
-        group = str(group)
-    text = group.strip().lower().replace("-", "_")
-    for alias, canon in (("gamma/sigma", "gamma_mod_sigma"),
-                         ("sigma/sigma_double_prime", "sigma_mod_double_prime"),
-                         ("sigma'", "sigma_prime"), ("sigma''", "sigma_double_prime")):
-        if text == alias:
-            text = canon
-    if ":" in text:
-        kind, param = text.split(":", 1)
-        return kind, int(param)
-    return text, None
-
-
 def _check_range(kind: str, n: int) -> None:
     if kind in _SIGMA_FAMILY:
         if n < 4:
@@ -49,7 +35,7 @@ def _check_range(kind: str, n: int) -> None:
 
 def dim_formula(group, n: int) -> int:
     """Closed-form dimension of the named group (or quotient / parameter space)."""
-    kind, param = _normalize_group(group)
+    kind, param = normalize_group_name(group)
     _check_range(kind, n)
     pi = _parity_offset(n)
     if kind == "gamma":
@@ -113,7 +99,7 @@ def _coords_phi(n: int) -> int:
 
 def dim_by_coordinates(group, n: int) -> int:
     """Recount a dimension by enumerating coordinate monomials per factorization."""
-    kind, param = _normalize_group(group)
+    kind, param = normalize_group_name(group)
     _check_range(kind, n)
     if kind == "phi":
         return _coords_phi(n)

@@ -103,12 +103,28 @@ class GroupId:
         return self.kind if self.param is None else f"{self.kind}:{self.param}"
 
 
-def parse_group_id(text: str) -> GroupId:
-    text = text.strip().lower().replace("-", "_")
+_GROUP_ALIASES = {
+    "sigma'": "sigma_prime",
+    "sigma''": "sigma_double_prime",
+    "gamma/sigma": "gamma_mod_sigma",
+    "sigma/sigma_double_prime": "sigma_mod_double_prime",
+}
+
+
+def normalize_group_name(name) -> tuple[str, Optional[int]]:
+    """``(kind, param)`` of a group name such as ``sigma-prime``, ``sigma'``
+    or ``gamma-asc:4``: the one parser for group names, shared by membership
+    and the dimension formulas."""
+    text = str(name).strip().lower().replace("-", "_")
+    text = _GROUP_ALIASES.get(text, text)
     if ":" in text:
         kind, param = text.split(":", 1)
-        return GroupId(kind, int(param))
-    return GroupId(text)
+        return kind, int(param)
+    return text, None
+
+
+def parse_group_id(text: str) -> GroupId:
+    return GroupId(*normalize_group_name(text))
 
 
 OMEGA = GroupId("omega")

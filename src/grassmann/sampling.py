@@ -69,14 +69,7 @@ def random_gamma(rng, ring, n: int, *, terms: int = 3) -> Endomorphism:
     For n <= 2 there is no odd degree >= 3, so the group is trivial and the
     identity is returned.
     """
-    degrees = [d for d in range(3, n + 1) if d % 2]
-    if not degrees:
-        return identity_endo(ring, n)
-    images = []
-    for i in range(1, n + 1):
-        shift = random_element(rng, ring, n, degrees=degrees, terms=terms)
-        images.append(GrassmannElement.generator(ring, n, i) + shift)
-    return Endomorphism(images, check=False)
+    return random_gamma_pow(rng, ring, n, 3, terms=terms)
 
 
 def random_gamma_pow(rng, ring, n: int, level: int, *, terms: int = 2) -> Endomorphism:
@@ -130,38 +123,48 @@ def random_shift_word(rng, ring, n: int, *, length: int = 4) -> Endomorphism:
     return acc
 
 
+def _pair_scaling_stages(n: int) -> list:
+    """The stages s whose balanced pair-scaling generators exist at this n."""
+    return [s for s in range(1, (n - 1) // 2 + 1)
+            if any(_avoidance(n, s).domain[i] for i in range(1, n))]
+
+
+def _random_pair_scaling(rng, ring, n: int, stages) -> Endomorphism:
+    """One balanced pair-scaling generator at a random stage, support and
+    coefficient."""
+    s = rng.choice(stages)
+    avoid = _avoidance(n, s)
+    candidates = [(i, m) for i in range(1, n) for m in avoid.domain[i]]
+    i, mask = rng.choice(candidates)
+    return rho_endo(ring, n, i, avoid.target(i, mask), mask, ring.random(rng))
+
+
 def random_sigma_prime_word(rng, ring, n: int, *, length: int = 4) -> Endomorphism:
     """A word in the balanced pair-scaling generators (Jacobian 1 by design)."""
     acc = identity_endo(ring, n)
-    stages = [s for s in range(1, (n - 1) // 2 + 1)
-              if any(_avoidance(n, s).domain[i] for i in range(1, n))]
+    stages = _pair_scaling_stages(n)
     if not stages:
         return acc
     for _ in range(length):
-        s = rng.choice(stages)
-        avoid = _avoidance(n, s)
-        candidates = [(i, m) for i in range(1, n) for m in avoid.domain[i]]
-        i, mask = rng.choice(candidates)
-        acc = acc.compose(
-            rho_endo(ring, n, i, avoid.target(i, mask), mask, ring.random(rng)))
+        acc = acc.compose(_random_pair_scaling(rng, ring, n, stages))
     return acc
 
 
 def random_sigma_word(rng, ring, n: int, *, length: int = 5) -> Endomorphism:
-    """A word mixing pair scalings and triple shifts: a random Jacobian-1 map."""
+    """A word mixing pair scalings and triple shifts: a random Jacobian-1 map.
+
+    For n <= 3 neither generator exists (the group is trivial), and the
+    identity is returned.
+    """
     acc = identity_endo(ring, n)
     triples = [(i, mask) for i in range(1, n + 1)
                for mask in _triple_masks(n, i)]
-    stages = [s for s in range(1, (n - 1) // 2 + 1)
-              if any(_avoidance(n, s).domain[i] for i in range(1, n))]
+    if not triples:
+        return acc
+    stages = _pair_scaling_stages(n)
     for _ in range(length):
         if stages and rng.random() < 0.5:
-            s = rng.choice(stages)
-            avoid = _avoidance(n, s)
-            candidates = [(i, m) for i in range(1, n) for m in avoid.domain[i]]
-            i, mask = rng.choice(candidates)
-            acc = acc.compose(
-                rho_endo(ring, n, i, avoid.target(i, mask), mask, ring.random(rng)))
+            acc = acc.compose(_random_pair_scaling(rng, ring, n, stages))
         else:
             i, mask = rng.choice(triples)
             b = GrassmannElement.monomial(ring, n, mask, ring.random(rng))

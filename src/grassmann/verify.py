@@ -2,8 +2,15 @@
 
 Each check draws its samples deterministically from a top-level seed (fanned
 out per sample index), runs an exact property, and reports a result row.  The
-CLI ``verify`` subcommand prints the rows; the acceptance suite calls the same
-functions with its own sample counts.
+CLI ``verify`` subcommand prints the rows; the tests call the same functions
+with their own sample counts.
+
+A sampled check is written as the body of one sample under ``@_sampled``,
+which holds the one sampling loop: it spawns each sample's generator from the
+seed, the check's tag and the sample index, collects the failure messages the
+body yields, and builds the row.  Only checks that carry more than a failure
+list across samples, that also test cases which are not sampled, or that take
+no ``n`` keep a loop of their own.
 """
 
 from __future__ import annotations
@@ -105,6 +112,27 @@ def _result(name, failures, samples):
     return CheckResult(name, True, samples)
 
 
+def _sampled(tag: str, title: str):
+    """Make a sampled check ``(ring, n, samples, seed) -> CheckResult`` from
+    ``body(ring, n, k, rng)``, a generator yielding one message per failure.
+
+    The body runs for k = 0, ..., samples - 1 with ``rng = spawn(seed, tag,
+    k)``; the row is named ``title.format(n=n, ring=ring)``.
+    """
+    def wrap(body):
+        def check(ring: Ring, n: int, samples: int, seed) -> CheckResult:
+            failures = []
+            for k in range(samples):
+                failures.extend(body(ring, n, k, spawn(seed, tag, k)))
+            return _result(title.format(n=n, ring=ring), failures, samples)
+
+        check.__name__ = check.__qualname__ = body.__name__
+        check.__doc__ = body.__doc__
+        return check
+
+    return wrap
+
+
 def _gen(ring, n, i):
     return GrassmannElement.generator(ring, n, i)
 
@@ -112,16 +140,13 @@ def _gen(ring, n, i):
 # ---------------------------------------------------------------------------
 # algebra suite
 
-def check_associativity(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "assoc", k)
-        e = random_element(rng, ring, n, terms=3)
-        f = random_element(rng, ring, n, terms=3)
-        g = random_element(rng, ring, n, terms=3)
-        if (e * f) * g != e * (f * g):
-            failures.append(f"sample {k}")
-    return _result(f"associativity n={n}", failures, samples)
+@_sampled("assoc", "associativity n={n}")
+def check_associativity(ring, n, k, rng):
+    e = random_element(rng, ring, n, terms=3)
+    f = random_element(rng, ring, n, terms=3)
+    g = random_element(rng, ring, n, terms=3)
+    if (e * f) * g != e * (f * g):
+        yield f"sample {k}"
 
 
 def check_defining_relations(ring: Ring, n: int) -> CheckResult:
@@ -137,32 +162,26 @@ def check_defining_relations(ring: Ring, n: int) -> CheckResult:
     return _result(f"defining relations n={n}", failures, n * n)
 
 
-def check_nilpotency(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "nilp", k)
-        acc = GrassmannElement.one(ring, n)
-        for _ in range(n + 1):
-            acc = acc * random_element(rng, ring, n, degrees=range(1, n + 1), terms=3)
-        if acc:
-            failures.append(f"sample {k}")
-    return _result(f"nilpotency of the augmentation ideal n={n}", failures, samples)
+@_sampled("nilp", "nilpotency of the augmentation ideal n={n}")
+def check_nilpotency(ring, n, k, rng):
+    acc = GrassmannElement.one(ring, n)
+    for _ in range(n + 1):
+        acc = acc * random_element(rng, ring, n, degrees=range(1, n + 1), terms=3)
+    if acc:
+        yield f"sample {k}"
 
 
-def check_involution(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "invo", k)
-        e = random_element(rng, ring, n, terms=4)
-        f = random_element(rng, ring, n, terms=4)
-        if involution(e * f) != involution(e) * involution(f):
-            failures.append(f"multiplicative: sample {k}")
-        if involution(involution(e)) != e:
-            failures.append(f"order two: sample {k}")
-        for i in range(1, n + 1):
-            if _gen(ring, n, i) * e != involution(e) * _gen(ring, n, i):
-                failures.append(f"normality at x{i}: sample {k}")
-    return _result(f"involution properties n={n}", failures, samples)
+@_sampled("invo", "involution properties n={n}")
+def check_involution(ring, n, k, rng):
+    e = random_element(rng, ring, n, terms=4)
+    f = random_element(rng, ring, n, terms=4)
+    if involution(e * f) != involution(e) * involution(f):
+        yield f"multiplicative: sample {k}"
+    if involution(involution(e)) != e:
+        yield f"order two: sample {k}"
+    for i in range(1, n + 1):
+        if _gen(ring, n, i) * e != involution(e) * _gen(ring, n, i):
+            yield f"normality at x{i}: sample {k}"
 
 
 def check_center(ring: Ring, n: int) -> CheckResult:
@@ -180,22 +199,20 @@ def check_center(ring: Ring, n: int) -> CheckResult:
                        "" if ok else f"got {central}")
 
 
-def check_odd_squares(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
+@_sampled("oddsq", "odd squares and norm form n={n}")
+def check_odd_squares(ring, n, k, rng):
     zero = GrassmannElement.zero(ring, n)
-    for k in range(samples):
-        rng = spawn(seed, "oddsq", k)
-        a = random_odd(rng, ring, n, terms=4)
-        if a * a != zero:
-            failures.append(f"square: sample {k}")
-        e = random_element(rng, ring, n, terms=4)
-        ev = even_part(e)
-        if e * involution(e) != ev * ev:
-            failures.append(f"norm form: sample {k}")
-    return _result(f"odd squares and norm form n={n}", failures, samples)
+    a = random_odd(rng, ring, n, terms=4)
+    if a * a != zero:
+        yield f"square: sample {k}"
+    e = random_element(rng, ring, n, terms=4)
+    ev = even_part(e)
+    if e * involution(e) != ev * ev:
+        yield f"norm form: sample {k}"
 
 
-def check_unit_inversion(ring: Ring, n: int, samples: int, seed) -> CheckResult:
+@_sampled("unit", "unit inversion n={n}")
+def check_unit_inversion(ring, n, k, rng):
     """e * e^-1 = 1 for units e = c + f with f nilpotent.
 
     Besides four random terms, f holds x_a x_b for each pair of a random
@@ -203,492 +220,417 @@ def check_unit_inversion(ring: Ring, n: int, samples: int, seed) -> CheckResult:
     is nonzero up to k = ceil(n/2), the longest geometric series that
     ``invert_unit`` sums; random terms alone rarely reach past f^2.
     """
-    failures = []
     one = GrassmannElement.one(ring, n)
-    for k in range(samples):
-        rng = spawn(seed, "unit", k)
-        e = one.scale(ring.random_nonzero(rng)) + random_element(
-            rng, ring, n, degrees=range(1, n + 1), terms=4)
-        order = rng.sample(range(1, n + 1), n)
-        for i in range(0, n, 2):
-            e = e + GrassmannElement.monomial(
-                ring, n, indices_mask(order[i:i + 2]), ring.random_nonzero(rng))
-        if e * invert_unit(e) != one:
-            failures.append(f"sample {k}")
-    return _result(f"unit inversion n={n}", failures, samples)
+    e = one.scale(ring.random_nonzero(rng)) + random_element(
+        rng, ring, n, degrees=range(1, n + 1), terms=4)
+    order = rng.sample(range(1, n + 1), n)
+    for i in range(0, n, 2):
+        e = e + GrassmannElement.monomial(
+            ring, n, indices_mask(order[i:i + 2]), ring.random_nonzero(rng))
+    if e * invert_unit(e) != one:
+        yield f"sample {k}"
 
 
 # ---------------------------------------------------------------------------
 # calculus suite
 
-def check_skew_leibniz(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "leib", k)
-        d = rng.randrange(0, n + 1)
-        e = random_element(rng, ring, n, degrees=[d], terms=3)
-        f = random_element(rng, ring, n, terms=3)
-        i = rng.randrange(1, n + 1)
-        lhs = skew_partial(i, e * f)
-        rhs = skew_partial(i, e) * f + (e * skew_partial(i, f)).scale(
-            ring.from_int(-1 if d % 2 else 1))
-        if lhs != rhs:
-            failures.append(f"sample {k}")
-    return _result(f"skew Leibniz rule n={n}", failures, samples)
+@_sampled("leib", "skew Leibniz rule n={n}")
+def check_skew_leibniz(ring, n, k, rng):
+    d = rng.randrange(0, n + 1)
+    e = random_element(rng, ring, n, degrees=[d], terms=3)
+    f = random_element(rng, ring, n, terms=3)
+    i = rng.randrange(1, n + 1)
+    lhs = skew_partial(i, e * f)
+    rhs = skew_partial(i, e) * f + (e * skew_partial(i, f)).scale(
+        ring.from_int(-1 if d % 2 else 1))
+    if lhs != rhs:
+        yield f"sample {k}"
 
 
-def check_operator_relations(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "oprel", k)
-        e = random_element(rng, ring, n, terms=4)
-        i = rng.randrange(1, n + 1)
-        j = rng.randrange(1, n + 1)
-        if skew_partial(i, skew_partial(i, e)):
-            failures.append(f"d{i}^2: sample {k}")
-        if skew_partial(i, skew_partial(j, e)) + skew_partial(j, skew_partial(i, e)):
-            if i != j:
-                failures.append(f"anticommute d{i},d{j}: sample {k}")
-        lhs = skew_partial(i, _gen(ring, n, j) * e) + _gen(ring, n, j) * skew_partial(i, e)
-        rhs = e if i == j else GrassmannElement.zero(ring, n)
-        if lhs != rhs:
-            failures.append(f"mixed relation d{i},x{j}: sample {k}")
-    return _result(f"derivative relations n={n}", failures, samples)
+@_sampled("oprel", "derivative relations n={n}")
+def check_operator_relations(ring, n, k, rng):
+    e = random_element(rng, ring, n, terms=4)
+    i = rng.randrange(1, n + 1)
+    j = rng.randrange(1, n + 1)
+    if skew_partial(i, skew_partial(i, e)):
+        yield f"d{i}^2: sample {k}"
+    if skew_partial(i, skew_partial(j, e)) + skew_partial(j, skew_partial(i, e)):
+        if i != j:
+            yield f"anticommute d{i},d{j}: sample {k}"
+    lhs = skew_partial(i, _gen(ring, n, j) * e) + _gen(ring, n, j) * skew_partial(i, e)
+    rhs = e if i == j else GrassmannElement.zero(ring, n)
+    if lhs != rhs:
+        yield f"mixed relation d{i},x{j}: sample {k}"
 
 
-def check_projections(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "proj", k)
-        e = random_element(rng, ring, n, terms=4)
-        i = rng.randrange(1, n + 1)
-        if coordinate_projection(i, coordinate_projection(i, e)) != coordinate_projection(i, e):
-            failures.append(f"idempotence: sample {k}")
-        # expansion of the constant-term projection as alternating word sums
-        expansion = GrassmannElement.zero(ring, n)
-        for mask in range(1 << n):
-            term = GrassmannElement.monomial(ring, n, mask) * apply_partial_word(e, mask)
-            expansion = expansion + (term if mask.bit_count() % 2 == 0 else -term)
-        byphi = phi_projection_by_composition(e)
-        if expansion != byphi:
-            failures.append(f"expansion: sample {k}")
-        if byphi != GrassmannElement.scalar(ring, n, phi_projection(e)):
-            failures.append(f"constant term: sample {k}")
-    return _result(f"projection operators n={n}", failures, samples)
+@_sampled("proj", "projection operators n={n}")
+def check_projections(ring, n, k, rng):
+    e = random_element(rng, ring, n, terms=4)
+    i = rng.randrange(1, n + 1)
+    if coordinate_projection(i, coordinate_projection(i, e)) != coordinate_projection(i, e):
+        yield f"idempotence: sample {k}"
+    # expansion of the constant-term projection as alternating word sums
+    expansion = GrassmannElement.zero(ring, n)
+    for mask in range(1 << n):
+        term = GrassmannElement.monomial(ring, n, mask) * apply_partial_word(e, mask)
+        expansion = expansion + (term if mask.bit_count() % 2 == 0 else -term)
+    byphi = phi_projection_by_composition(e)
+    if expansion != byphi:
+        yield f"expansion: sample {k}"
+    if byphi != GrassmannElement.scalar(ring, n, phi_projection(e)):
+        yield f"constant term: sample {k}"
 
 
-def check_taylor(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "taylor", k)
-        e = random_element(rng, ring, n, terms=5)
-        if taylor_reconstruct(e, "at_zero") != e:
-            failures.append(f"at_zero: sample {k}")
-        if taylor_reconstruct(e, "projected") != e:
-            failures.append(f"projected: sample {k}")
-    return _result(f"Taylor reconstruction n={n}", failures, samples)
+@_sampled("taylor", "Taylor reconstruction n={n}")
+def check_taylor(ring, n, k, rng):
+    e = random_element(rng, ring, n, terms=5)
+    if taylor_reconstruct(e, "at_zero") != e:
+        yield f"at_zero: sample {k}"
+    if taylor_reconstruct(e, "projected") != e:
+        yield f"projected: sample {k}"
 
 
-def check_identity_operator(ring: Ring, n: int, samples: int, seed) -> CheckResult:
+@_sampled("idop", "identity-operator decomposition n={n}")
+def check_identity_operator(ring, n, k, rng):
     """Triangular identity decomposition built from derivative words."""
-    failures = []
     full = (1 << n) - 1
-    for k in range(samples):
-        rng = spawn(seed, "idop", k)
-        e = random_element(rng, ring, n, terms=5)
-        acc = GrassmannElement.monomial(ring, n, full) * apply_partial_word(e, full)
-        for i in range(1, n):
-            prefix = (1 << i) - 1
-            acc = acc + GrassmannElement.monomial(ring, n, prefix) * apply_partial_word(
-                coordinate_projection(i + 1, e), prefix)
-        acc = acc + coordinate_projection(1, e)
-        if acc != e:
-            failures.append(f"sample {k}")
-    return _result(f"identity-operator decomposition n={n}", failures, samples)
+    e = random_element(rng, ring, n, terms=5)
+    acc = GrassmannElement.monomial(ring, n, full) * apply_partial_word(e, full)
+    for i in range(1, n):
+        prefix = (1 << i) - 1
+        acc = acc + GrassmannElement.monomial(ring, n, prefix) * apply_partial_word(
+            coordinate_projection(i + 1, e), prefix)
+    acc = acc + coordinate_projection(1, e)
+    if acc != e:
+        yield f"sample {k}"
 
 
-def check_taylor_substitution(ring: Ring, n: int, samples: int, seed) -> CheckResult:
+@_sampled("tsub", "substitution as derivative expansion n={n}")
+def check_taylor_substitution(ring, n, k, rng):
     """Applying a shift automorphism equals the derivative-expansion sum."""
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "tsub", k)
-        gamma = random_gamma(rng, ring, n, terms=2)
-        f = random_element(rng, ring, n, terms=4)
-        shifts = [gamma.images[i] - _gen(ring, n, i + 1) for i in range(n)]
-        acc = GrassmannElement.zero(ring, n)
-        for mask in range(1 << n):
-            d = apply_partial_word(f, mask)
-            if not d:
-                continue
-            prod = GrassmannElement.one(ring, n)
-            for i in range(1, n + 1):
-                if (mask >> (i - 1)) & 1:
-                    prod = prod * shifts[i - 1]
-            acc = acc + prod * d
-        if acc != gamma.apply(f):
-            failures.append(f"sample {k}")
-    return _result(f"substitution as derivative expansion n={n}", failures, samples)
+    gamma = random_gamma(rng, ring, n, terms=2)
+    f = random_element(rng, ring, n, terms=4)
+    shifts = [gamma.images[i] - _gen(ring, n, i + 1) for i in range(n)]
+    acc = GrassmannElement.zero(ring, n)
+    for mask in range(1 << n):
+        d = apply_partial_word(f, mask)
+        if not d:
+            continue
+        prod = GrassmannElement.one(ring, n)
+        for i in range(1, n + 1):
+            if (mask >> (i - 1)) & 1:
+                prod = prod * shifts[i - 1]
+        acc = acc + prod * d
+    if acc != gamma.apply(f):
+        yield f"sample {k}"
 
 
 # ---------------------------------------------------------------------------
 # solver suite
 
-def check_xi_solver(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "xisys", k)
-        a = random_element(rng, ring, n, terms=4)
-        u = [_gen(ring, n, i) * a for i in range(1, n + 1)]
-        family = solve_xi_system(u)
-        for c in (ring.zero, ring.one):
-            sol = family.at(c)
-            if any(_gen(ring, n, i) * sol != u[i - 1] for i in range(1, n + 1)):
-                failures.append(f"substitution: sample {k}")
-                break
-        diff = family.particular - a
-        if any(m != (1 << n) - 1 for m in diff.terms):
-            failures.append(f"family misses the generator: sample {k}")
-        # inconsistent perturbations must be rejected with the right condition
-        i0 = rng.randrange(1, n + 1)
-        bad = list(u)
-        bad[i0 - 1] = bad[i0 - 1] + GrassmannElement.monomial(
-            ring, n, indices_mask([j for j in range(1, n + 1) if j != i0][:1]))
-        try:
-            solve_xi_system(bad)
-            failures.append(f"missed membership violation: sample {k}")
-        except SolvabilityError as err:
-            if err.condition != "membership" or err.indices != (i0,):
-                failures.append(f"wrong condition {err.condition}: sample {k}")
-    return _result(f"normal-multiplication solver n={n}", failures, samples)
+@_sampled("xisys", "normal-multiplication solver n={n}")
+def check_xi_solver(ring, n, k, rng):
+    a = random_element(rng, ring, n, terms=4)
+    u = [_gen(ring, n, i) * a for i in range(1, n + 1)]
+    family = solve_xi_system(u)
+    for c in (ring.zero, ring.one):
+        sol = family.at(c)
+        if any(_gen(ring, n, i) * sol != u[i - 1] for i in range(1, n + 1)):
+            yield f"substitution: sample {k}"
+            break
+    diff = family.particular - a
+    if any(m != (1 << n) - 1 for m in diff.terms):
+        yield f"family misses the generator: sample {k}"
+    # inconsistent perturbations must be rejected with the right condition
+    i0 = rng.randrange(1, n + 1)
+    bad = list(u)
+    bad[i0 - 1] = bad[i0 - 1] + GrassmannElement.monomial(
+        ring, n, indices_mask([j for j in range(1, n + 1) if j != i0][:1]))
+    try:
+        solve_xi_system(bad)
+        yield f"missed membership violation: sample {k}"
+    except SolvabilityError as err:
+        if err.condition != "membership" or err.indices != (i0,):
+            yield f"wrong condition {err.condition}: sample {k}"
 
 
-def check_xi_solver_pair_rejection(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "xipair", k)
-        a = random_element(rng, ring, n, terms=3)
-        u = [_gen(ring, n, i) * a for i in range(1, n + 1)]
-        i0 = rng.randrange(1, n + 1)
-        # stay inside (x_i0) but break the pair condition
-        others = [j for j in range(1, n + 1) if j != i0]
-        mask = indices_mask([i0, others[0]])
-        bad = list(u)
-        bad[i0 - 1] = bad[i0 - 1] + GrassmannElement.monomial(ring, n, mask)
-        try:
-            solve_xi_system(bad)
-            sol_ok = all(_gen(ring, n, i) * solve_xi_system(bad).particular == bad[i - 1]
-                         for i in range(1, n + 1))
-            if not sol_ok:
-                failures.append(f"accepted inconsistent system: sample {k}")
-        except SolvabilityError as err:
-            if err.condition != "anticommute" or i0 not in err.indices:
-                failures.append(f"wrong condition {err.condition}@{err.indices}: sample {k}")
-    return _result(f"pair-condition rejection n={n}", failures, samples)
+@_sampled("xipair", "pair-condition rejection n={n}")
+def check_xi_solver_pair_rejection(ring, n, k, rng):
+    a = random_element(rng, ring, n, terms=3)
+    u = [_gen(ring, n, i) * a for i in range(1, n + 1)]
+    i0 = rng.randrange(1, n + 1)
+    # stay inside (x_i0) but break the pair condition
+    others = [j for j in range(1, n + 1) if j != i0]
+    mask = indices_mask([i0, others[0]])
+    bad = list(u)
+    bad[i0 - 1] = bad[i0 - 1] + GrassmannElement.monomial(ring, n, mask)
+    try:
+        solve_xi_system(bad)
+        sol_ok = all(_gen(ring, n, i) * solve_xi_system(bad).particular == bad[i - 1]
+                     for i in range(1, n + 1))
+        if not sol_ok:
+            yield f"accepted inconsistent system: sample {k}"
+    except SolvabilityError as err:
+        if err.condition != "anticommute" or i0 not in err.indices:
+            yield f"wrong condition {err.condition}@{err.indices}: sample {k}"
 
 
-def check_partial_solver(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "dsys", k)
-        a = random_element(rng, ring, n, terms=4)
-        u = [skew_partial(i, a) for i in range(1, n + 1)]
-        family = solve_partial_system(u)
-        sol = family.at(ring.random(rng))
-        if any(skew_partial(i, sol) != u[i - 1] for i in range(1, n + 1)):
-            failures.append(f"substitution: sample {k}")
-        if (family.particular - a).max_degree() > 0:
-            failures.append(f"family misses the generator: sample {k}")
-        i0 = rng.randrange(1, n + 1)
-        bad = list(u)
-        bad[i0 - 1] = bad[i0 - 1] + _gen(ring, n, i0)
-        try:
-            solve_partial_system(bad)
-            failures.append(f"missed free-variable violation: sample {k}")
-        except SolvabilityError as err:
-            if err.condition != "free" or err.indices != (i0,):
-                failures.append(f"wrong condition {err.condition}: sample {k}")
-    return _result(f"derivative-system solver n={n}", failures, samples)
+@_sampled("dsys", "derivative-system solver n={n}")
+def check_partial_solver(ring, n, k, rng):
+    a = random_element(rng, ring, n, terms=4)
+    u = [skew_partial(i, a) for i in range(1, n + 1)]
+    family = solve_partial_system(u)
+    sol = family.at(ring.random(rng))
+    if any(skew_partial(i, sol) != u[i - 1] for i in range(1, n + 1)):
+        yield f"substitution: sample {k}"
+    if (family.particular - a).max_degree() > 0:
+        yield f"family misses the generator: sample {k}"
+    i0 = rng.randrange(1, n + 1)
+    bad = list(u)
+    bad[i0 - 1] = bad[i0 - 1] + _gen(ring, n, i0)
+    try:
+        solve_partial_system(bad)
+        yield f"missed free-variable violation: sample {k}"
+    except SolvabilityError as err:
+        if err.condition != "free" or err.indices != (i0,):
+            yield f"wrong condition {err.condition}: sample {k}"
 
 
-def check_partial_solver_pair_rejection(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "dpair", k)
-        a = random_element(rng, ring, n, terms=3)
-        u = [skew_partial(i, a) for i in range(1, n + 1)]
-        i0, j0 = 1, 2
-        bad = list(u)
-        # perturb u_i0 by a monomial avoiding x_i0 but containing x_j0
-        mask = indices_mask([j0] + [j for j in range(1, n + 1) if j not in (i0, j0)][:1])
-        bad[i0 - 1] = bad[i0 - 1] + GrassmannElement.monomial(ring, n, mask)
-        try:
-            solve_partial_system(bad)
-            sol = solve_partial_system(bad).particular
-            if any(skew_partial(i, sol) != bad[i - 1] for i in range(1, n + 1)):
-                failures.append(f"accepted inconsistent system: sample {k}")
-        except SolvabilityError as err:
-            if err.condition != "skew-symmetry":
-                failures.append(f"wrong condition {err.condition}: sample {k}")
-    return _result(f"skew-symmetry rejection n={n}", failures, samples)
+@_sampled("dpair", "skew-symmetry rejection n={n}")
+def check_partial_solver_pair_rejection(ring, n, k, rng):
+    a = random_element(rng, ring, n, terms=3)
+    u = [skew_partial(i, a) for i in range(1, n + 1)]
+    i0, j0 = 1, 2
+    bad = list(u)
+    # perturb u_i0 by a monomial avoiding x_i0 but containing x_j0
+    mask = indices_mask([j0] + [j for j in range(1, n + 1) if j not in (i0, j0)][:1])
+    bad[i0 - 1] = bad[i0 - 1] + GrassmannElement.monomial(ring, n, mask)
+    try:
+        solve_partial_system(bad)
+        sol = solve_partial_system(bad).particular
+        if any(skew_partial(i, sol) != bad[i - 1] for i in range(1, n + 1)):
+            yield f"accepted inconsistent system: sample {k}"
+    except SolvabilityError as err:
+        if err.condition != "skew-symmetry":
+            yield f"wrong condition {err.condition}: sample {k}"
 
 
 # ---------------------------------------------------------------------------
 # endomorphism suite
 
-def check_inverse_strategies(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
+@_sampled("inv", "inversion strategies n={n} ({ring!r})")
+def check_inverse_strategies(ring, n, k, rng):
     ident = identity_endo(ring, n)
-    for k in range(samples):
-        rng = spawn(seed, "inv", k)
-        sigma = random_gamma_gl(rng, ring, n)
-        by_iter = sigma._inverse_iteration()
-        by_formula = sigma._inverse_formula()
-        if by_iter != by_formula:
-            failures.append(
-                f"strategy mismatch on sample {k}: {format_endomorphism(sigma)}")
-            continue
-        if sigma.compose(by_iter) != ident or by_iter.compose(sigma) != ident:
-            failures.append(
-                f"not a two-sided inverse on sample {k}: {format_endomorphism(sigma)}")
-    return _result(f"inversion strategies n={n} ({ring!r})", failures, samples)
+    sigma = random_gamma_gl(rng, ring, n)
+    by_iter = sigma._inverse_iteration()
+    by_formula = sigma._inverse_formula()
+    if by_iter != by_formula:
+        yield f"strategy mismatch on sample {k}: {format_endomorphism(sigma)}"
+        return
+    if sigma.compose(by_iter) != ident or by_iter.compose(sigma) != ident:
+        yield f"not a two-sided inverse on sample {k}: {format_endomorphism(sigma)}"
 
 
-def check_chain_rule(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "chain", k)
-        sigma = random_gamma_gl(rng, ring, n)
-        tau = random_gamma_gl(rng, ring, n)
-        js, jt = sigma.jacobian(), tau.jacobian()
-        st = sigma.compose(tau)
-        jst = st.jacobian()
-        # matrix chain rule: entry (i, j) of the composite matrix
-        js_cols = list(zip(*js.matrix))
-        for i in range(n):
-            row = [sigma.apply(entry) for entry in jt.matrix[i]]
-            for j in range(n):
-                if dot(ring, n, zip(row, js_cols[j]), n) != jst.matrix[i][j]:
-                    failures.append(f"matrix entry ({i + 1},{j + 1}): sample {k}")
-                    break
-            else:
-                continue
-            break
-        if jst.det != sigma.apply(jt.det) * js.det:
-            failures.append(f"determinant chain rule: sample {k}")
-        sigma_inv = sigma.inverse()
-        if sigma_inv.jacobian().det != sigma_inv.apply(invert_unit(js.det)):
-            failures.append(f"inverse determinant rule: sample {k}")
-    return _result(f"chain rules n={n}", failures, samples)
-
-
-def check_inner_properties(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    one = GrassmannElement.one(ring, n)
-    for k in range(samples):
-        rng = spawn(seed, "inner", k)
-        a = random_odd(rng, ring, n, terms=3)
-        b = random_odd(rng, ring, n, terms=3)
-        if inner(one + a).compose(inner(one + b)) != inner(one + a + b):
-            failures.append(f"additivity: sample {k}")
-        conj = inner(one + a)
-        for i in range(1, n + 1):
-            x = _gen(ring, n, i)
-            if conj.images[i - 1] != x + (a * x - x * a):
-                failures.append(f"bracket form at x{i}: sample {k}")
+@_sampled("chain", "chain rules n={n}")
+def check_chain_rule(ring, n, k, rng):
+    sigma = random_gamma_gl(rng, ring, n)
+    tau = random_gamma_gl(rng, ring, n)
+    js, jt = sigma.jacobian(), tau.jacobian()
+    st = sigma.compose(tau)
+    jst = st.jacobian()
+    # matrix chain rule: entry (i, j) of the composite matrix
+    js_cols = list(zip(*js.matrix))
+    for i in range(n):
+        row = [sigma.apply(entry) for entry in jt.matrix[i]]
+        for j in range(n):
+            if dot(ring, n, zip(row, js_cols[j]), n) != jst.matrix[i][j]:
+                yield f"matrix entry ({i + 1},{j + 1}): sample {k}"
                 break
-        lam = ring.random_nonzero(rng)
-        if inner(GrassmannElement.scalar(ring, n, lam)) != identity_endo(ring, n):
-            failures.append(f"scalar conjugation: sample {k}")
-    return _result(f"inner automorphisms n={n}", failures, samples)
+        else:
+            continue
+        break
+    if jst.det != sigma.apply(jt.det) * js.det:
+        yield f"determinant chain rule: sample {k}"
+    sigma_inv = sigma.inverse()
+    if sigma_inv.jacobian().det != sigma_inv.apply(invert_unit(js.det)):
+        yield f"inverse determinant rule: sample {k}"
 
 
-def check_dual_derivatives(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "dual", k)
-        sigma = random_gamma_gl(rng, ring, n)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                got = sigma.dual_skew_partial(i, sigma.images[j - 1])
-                want = (GrassmannElement.one(ring, n) if i == j
-                        else GrassmannElement.zero(ring, n))
-                if got != want:
-                    failures.append(f"delta property ({i},{j}): sample {k}")
-        e = random_element(rng, ring, n, terms=3)
-        i = rng.randrange(1, n + 1)
-        if sigma.dual_skew_partial(i, sigma.dual_skew_partial(i, e)):
-            failures.append(f"square zero: sample {k}")
-    return _result(f"dual derivatives n={n}", failures, samples)
+@_sampled("inner", "inner automorphisms n={n}")
+def check_inner_properties(ring, n, k, rng):
+    one = GrassmannElement.one(ring, n)
+    a = random_odd(rng, ring, n, terms=3)
+    b = random_odd(rng, ring, n, terms=3)
+    if inner(one + a).compose(inner(one + b)) != inner(one + a + b):
+        yield f"additivity: sample {k}"
+    conj = inner(one + a)
+    for i in range(1, n + 1):
+        x = _gen(ring, n, i)
+        if conj.images[i - 1] != x + (a * x - x * a):
+            yield f"bracket form at x{i}: sample {k}"
+            break
+    lam = ring.random_nonzero(rng)
+    if inner(GrassmannElement.scalar(ring, n, lam)) != identity_endo(ring, n):
+        yield f"scalar conjugation: sample {k}"
 
 
-def check_composition_laws(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "complaw", k)
-        mat_a = random_invertible_matrix(rng, ring, n)
-        mat_b = random_invertible_matrix(rng, ring, n)
-        if linear_endo(ring, mat_a).compose(linear_endo(ring, mat_b)) != linear_endo(
-                ring, mat_mul(ring, mat_b, mat_a)):
-            failures.append(f"linear law: sample {k}")
-        b = random_gamma(rng, ring, n, terms=2)
-        c = random_gamma(rng, ring, n, terms=2)
-        composed = b.compose(c)
-        resub = Endomorphism([b.apply(c.images[i]) for i in range(n)], check=False)
-        if composed != resub:
-            failures.append(f"substitution law: sample {k}")
-    return _result(f"composition conventions n={n}", failures, samples)
+@_sampled("dual", "dual derivatives n={n}")
+def check_dual_derivatives(ring, n, k, rng):
+    sigma = random_gamma_gl(rng, ring, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            got = sigma.dual_skew_partial(i, sigma.images[j - 1])
+            want = (GrassmannElement.one(ring, n) if i == j
+                    else GrassmannElement.zero(ring, n))
+            if got != want:
+                yield f"delta property ({i},{j}): sample {k}"
+    e = random_element(rng, ring, n, terms=3)
+    i = rng.randrange(1, n + 1)
+    if sigma.dual_skew_partial(i, sigma.dual_skew_partial(i, e)):
+        yield f"square zero: sample {k}"
+
+
+@_sampled("complaw", "composition conventions n={n}")
+def check_composition_laws(ring, n, k, rng):
+    mat_a = random_invertible_matrix(rng, ring, n)
+    mat_b = random_invertible_matrix(rng, ring, n)
+    if linear_endo(ring, mat_a).compose(linear_endo(ring, mat_b)) != linear_endo(
+            ring, mat_mul(ring, mat_b, mat_a)):
+        yield f"linear law: sample {k}"
+    b = random_gamma(rng, ring, n, terms=2)
+    c = random_gamma(rng, ring, n, terms=2)
+    composed = b.compose(c)
+    resub = Endomorphism([b.apply(c.images[i]) for i in range(n)], check=False)
+    if composed != resub:
+        yield f"substitution law: sample {k}"
 
 
 # ---------------------------------------------------------------------------
 # factorization suite
 
-def check_oga_roundtrip(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "oga", k)
-        omega = random_omega(rng, ring, n, terms=2)
-        gamma = random_gamma(rng, ring, n, terms=2)
-        lin = random_linear(rng, ring, n)
-        sigma = omega.compose(gamma).compose(lin)
-        fact = decompose_omega_gamma_linear(sigma)
-        if fact.recompose(ring, n) != sigma:
-            failures.append(
-                f"recomposition failed on sample {k}: {format_endomorphism(sigma)}")
-        gamma_back = Endomorphism(
-            [_gen(ring, n, i + 1) + fact.b[i] for i in range(n)], check=False)
-        if gamma_back != gamma or linear_endo(ring, fact.matrix) != lin:
-            failures.append(f"parts not recovered: sample {k}")
-        if not member(inner(GrassmannElement.one(ring, n) + fact.a), OMEGA):
-            failures.append(f"inner part outside the inner group: sample {k}")
-        if not member(gamma_back, GAMMA):
-            failures.append(f"shift part outside the shift group: sample {k}")
-    return _result(f"inner*shift*linear factorization n={n}", failures, samples)
+@_sampled("oga", "inner*shift*linear factorization n={n}")
+def check_oga_roundtrip(ring, n, k, rng):
+    omega = random_omega(rng, ring, n, terms=2)
+    gamma = random_gamma(rng, ring, n, terms=2)
+    lin = random_linear(rng, ring, n)
+    sigma = omega.compose(gamma).compose(lin)
+    fact = decompose_omega_gamma_linear(sigma)
+    if fact.recompose(ring, n) != sigma:
+        yield f"recomposition failed on sample {k}: {format_endomorphism(sigma)}"
+    gamma_back = Endomorphism(
+        [_gen(ring, n, i + 1) + fact.b[i] for i in range(n)], check=False)
+    if gamma_back != gamma or linear_endo(ring, fact.matrix) != lin:
+        yield f"parts not recovered: sample {k}"
+    if not member(inner(GrassmannElement.one(ring, n) + fact.a), OMEGA):
+        yield f"inner part outside the inner group: sample {k}"
+    if not member(gamma_back, GAMMA):
+        yield f"shift part outside the shift group: sample {k}"
 
 
-def check_unipotent_roundtrip(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "uni", k)
-        sigma = random_unipotent(rng, ring, n, factors=3)
-        word = decompose_unipotent(sigma)
-        if word.recompose() != sigma:
-            failures.append(
-                f"recomposition failed on sample {k}: {format_endomorphism(sigma)}")
-        for level_kind, data in word.factors:
-            if level_kind == "inner":
-                if data != odd_part(data):
-                    failures.append(f"inner factor not odd: sample {k}")
-            else:
-                if any(b != odd_part(b) for b in data):
-                    failures.append(f"shift factor not odd: sample {k}")
-    return _result(f"alternating unipotent factorization n={n}", failures, samples)
-
-
-def check_gamma_word_roundtrip(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "gword", k)
-        if k % 2 == 0:
-            sigma = random_gamma(rng, ring, n, terms=2)
+@_sampled("uni", "alternating unipotent factorization n={n}")
+def check_unipotent_roundtrip(ring, n, k, rng):
+    sigma = random_unipotent(rng, ring, n, factors=3)
+    word = decompose_unipotent(sigma)
+    if word.recompose() != sigma:
+        yield f"recomposition failed on sample {k}: {format_endomorphism(sigma)}"
+    for level_kind, data in word.factors:
+        if level_kind == "inner":
+            if data != odd_part(data):
+                yield f"inner factor not odd: sample {k}"
         else:
-            sigma = random_phi(rng, ring, n).compose(random_shift_word(rng, ring, n))
-        word = decompose_gamma(sigma)
-        if word.recompose() != sigma:
-            failures.append(
-                f"recomposition failed on sample {k}: {format_endomorphism(sigma)}")
-        if not member(word.phi, PHI):
-            failures.append(f"scaling part outside its group: sample {k}")
-        if member(sigma, SIGMA) and not member(word.phi, SIGMA_PRIME):
-            failures.append(f"Jacobian-1 input with non-Jacobian-1 scaling part: sample {k}")
-    return _result(f"scaling/shift factorization n={n}", failures, samples)
+            if any(b != odd_part(b) for b in data):
+                yield f"shift factor not odd: sample {k}"
 
 
-def check_sigma_prime_roundtrip(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "spword", k)
-        sigma = random_sigma_prime_word(rng, ring, n, length=4)
-        word = decompose_sigma_prime(sigma)
-        if word.recompose() != sigma:
-            failures.append(
-                f"recomposition failed on sample {k}: {format_endomorphism(sigma)}")
-    return _result(f"pair-scaling coordinates n={n}", failures, samples)
+@_sampled("gword", "scaling/shift factorization n={n}")
+def check_gamma_word_roundtrip(ring, n, k, rng):
+    # every third input lies in the Jacobian-1 group, so the last property
+    # below has inputs it applies to
+    choice = k % 3
+    if choice == 0:
+        sigma = random_gamma(rng, ring, n, terms=2)
+    elif choice == 1:
+        sigma = random_phi(rng, ring, n).compose(random_shift_word(rng, ring, n))
+    else:
+        sigma = random_sigma_word(rng, ring, n, length=3)
+    word = decompose_gamma(sigma)
+    if word.recompose() != sigma:
+        yield f"recomposition failed on sample {k}: {format_endomorphism(sigma)}"
+    if not member(word.phi, PHI):
+        yield f"scaling part outside its group: sample {k}"
+    if member(sigma, SIGMA) and not member(word.phi, SIGMA_PRIME):
+        yield f"Jacobian-1 input with non-Jacobian-1 scaling part: sample {k}"
 
 
-def check_layers_roundtrip(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "layers", k)
-        if k % 2 == 0:
-            sigma = random_gamma(rng, ring, n, terms=2)
-        else:
-            # high-valuation inputs exercise the vanishing of the low layers
-            sigma = random_gamma_pow(rng, ring, n, 5).compose(
-                random_sigma_word(rng, ring, n, length=2))
-        word = decompose_layers(sigma)
-        if word.recompose() != sigma:
-            failures.append(
-                f"recomposition failed on sample {k}: {format_endomorphism(sigma)}")
-        if not member(word.tail, SIGMA):
-            failures.append(f"tail outside the Jacobian-1 group: sample {k}")
-        # ascent members must have vanishing low layers
-        level = sigma.jacobian().valuation
-        for s in range(1, min(level // 2, (n - 1) // 2 + 1)):
-            if word.layers.get(s):
-                failures.append(f"nonzero layer below the valuation: sample {k}")
-    return _result(f"layer factorization n={n}", failures, samples)
+@_sampled("spword", "pair-scaling coordinates n={n}")
+def check_sigma_prime_roundtrip(ring, n, k, rng):
+    sigma = random_sigma_prime_word(rng, ring, n, length=4)
+    word = decompose_sigma_prime(sigma)
+    if word.recompose() != sigma:
+        yield f"recomposition failed on sample {k}: {format_endomorphism(sigma)}"
+
+
+@_sampled("layers", "layer factorization n={n}")
+def check_layers_roundtrip(ring, n, k, rng):
+    if k % 2 == 0:
+        sigma = random_gamma(rng, ring, n, terms=2)
+    else:
+        # high-valuation inputs exercise the vanishing of the low layers
+        sigma = random_gamma_pow(rng, ring, n, 5).compose(
+            random_sigma_word(rng, ring, n, length=2))
+    word = decompose_layers(sigma)
+    if word.recompose() != sigma:
+        yield f"recomposition failed on sample {k}: {format_endomorphism(sigma)}"
+    if not member(word.tail, SIGMA):
+        yield f"tail outside the Jacobian-1 group: sample {k}"
+    # ascent members must have vanishing low layers
+    level = sigma.jacobian().valuation
+    for s in range(1, min(level // 2, (n - 1) // 2 + 1)):
+        if word.layers.get(s):
+            yield f"nonzero layer below the valuation: sample {k}"
 
 
 # ---------------------------------------------------------------------------
 # group suite
 
-def check_sigma_closure(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "closure", k)
-        sigma = random_sigma_word(rng, ring, n, length=4)
-        tau = random_sigma_word(rng, ring, n, length=4)
-        if not member(sigma.compose(tau), SIGMA):
-            failures.append(f"product: sample {k}")
-        if not member(sigma.inverse(), SIGMA):
-            failures.append(f"inverse: sample {k}")
-    return _result(f"Jacobian-1 group closure n={n}", failures, samples)
+@_sampled("closure", "Jacobian-1 group closure n={n}")
+def check_sigma_closure(ring, n, k, rng):
+    sigma = random_sigma_word(rng, ring, n, length=4)
+    tau = random_sigma_word(rng, ring, n, length=4)
+    if not member(sigma.compose(tau), SIGMA):
+        yield f"product: sample {k}"
+    if not member(sigma.inverse(), SIGMA):
+        yield f"inverse: sample {k}"
 
 
-def check_coset_criterion(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "coset", k)
-        sigma = random_gamma(rng, ring, n, terms=2)
-        tau_same = sigma.compose(random_sigma_word(rng, ring, n, length=3))
-        if sigma.jacobian().det != tau_same.jacobian().det:
-            failures.append(f"same-coset Jacobians differ: sample {k}")
-        if not member(sigma.inverse().compose(tau_same), SIGMA):
-            failures.append(f"same-coset quotient outside: sample {k}")
-        tau_other = random_gamma(rng, ring, n, terms=2)
-        same_j = sigma.jacobian().det == tau_other.jacobian().det
-        in_coset = member(sigma.inverse().compose(tau_other), SIGMA)
-        if same_j != in_coset:
-            failures.append(f"criterion mismatch: sample {k}")
-    return _result(f"coset criterion n={n}", failures, samples)
+@_sampled("coset", "coset criterion n={n}")
+def check_coset_criterion(ring, n, k, rng):
+    sigma = random_gamma(rng, ring, n, terms=2)
+    tau_same = sigma.compose(random_sigma_word(rng, ring, n, length=3))
+    if sigma.jacobian().det != tau_same.jacobian().det:
+        yield f"same-coset Jacobians differ: sample {k}"
+    if not member(sigma.inverse().compose(tau_same), SIGMA):
+        yield f"same-coset quotient outside: sample {k}"
+    tau_other = random_gamma(rng, ring, n, terms=2)
+    same_j = sigma.jacobian().det == tau_other.jacobian().det
+    in_coset = member(sigma.inverse().compose(tau_other), SIGMA)
+    if same_j != in_coset:
+        yield f"criterion mismatch: sample {k}"
 
 
-def check_ascent_chain(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "ascent", k)
-        for s in range(1, (n - 1) // 2 + 1):
-            level = 2 * s + 1
-            sigma = random_gamma_pow(rng, ring, n, level)
-            if not member(sigma, GroupId("gamma_asc", 2 * s)):
-                failures.append(f"filtration not inside ascent 2s={2 * s}: sample {k}")
-        sigma = random_gamma(rng, ring, n, terms=2)
-        val = sigma.jacobian().valuation
-        for s in range(1, (n - 1) // 2 + 2):
-            expected = val >= 2 * s
-            if member(sigma, GroupId("gamma_asc", 2 * s)) != expected:
-                failures.append(f"monotone valuation failed at 2s={2 * s}: sample {k}")
-    return _result(f"ascent chain n={n}", failures, samples)
+@_sampled("ascent", "ascent chain n={n}")
+def check_ascent_chain(ring, n, k, rng):
+    for s in range(1, (n - 1) // 2 + 1):
+        level = 2 * s + 1
+        sigma = random_gamma_pow(rng, ring, n, level)
+        if not member(sigma, GroupId("gamma_asc", 2 * s)):
+            yield f"filtration not inside ascent 2s={2 * s}: sample {k}"
+    sigma = random_gamma(rng, ring, n, terms=2)
+    val = sigma.jacobian().valuation
+    for s in range(1, (n - 1) // 2 + 2):
+        expected = val >= 2 * s
+        if member(sigma, GroupId("gamma_asc", 2 * s)) != expected:
+            yield f"monotone valuation failed at 2s={2 * s}: sample {k}"
 
 
 def check_even_collapse(ring: Ring, n: int, samples: int, seed) -> CheckResult:
@@ -762,30 +704,27 @@ def check_membership_basics(ring: Ring, n: int, samples: int, seed) -> CheckResu
     return _result(f"membership basics n={n}", failures, samples)
 
 
-def check_graded_groups(ring: Ring, n: int, samples: int, seed) -> CheckResult:
+@_sampled("graded", "cyclically graded subgroups n={n}")
+def check_graded_groups(ring, n, k, rng):
     """Automorphisms respecting a cyclic grading factor per the step's parity."""
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "graded", k)
-        for s in range(2, n + 1):
-            if s % 2 == 0:
-                degrees = [1 + j * s for j in range(1, (n - 1) // s + 1) if 1 + j * s <= n]
-                images = []
-                for i in range(1, n + 1):
-                    shift = (random_element(rng, ring, n, degrees=degrees, terms=1)
-                             if degrees else GrassmannElement.zero(ring, n))
-                    images.append(_gen(ring, n, i) + shift)
-                cand = Endomorphism(images, check=False).compose(
-                    random_linear(rng, ring, n))
-            else:
-                degrees = [j * s for j in range(1, n // s + 1, 2)]
-                a = (random_element(rng, ring, n, degrees=degrees, terms=1)
-                     if degrees else GrassmannElement.zero(ring, n))
-                cand = inner(GrassmannElement.one(ring, n) + a).compose(
-                    random_linear(rng, ring, n))
-            if not member(cand, GroupId("g_zgraded", s)):
-                failures.append(f"graded construction escapes mod-{s} grading: sample {k}")
-    return _result(f"cyclically graded subgroups n={n}", failures, samples)
+    for s in range(2, n + 1):
+        if s % 2 == 0:
+            degrees = [1 + j * s for j in range(1, (n - 1) // s + 1) if 1 + j * s <= n]
+            images = []
+            for i in range(1, n + 1):
+                shift = (random_element(rng, ring, n, degrees=degrees, terms=1)
+                         if degrees else GrassmannElement.zero(ring, n))
+                images.append(_gen(ring, n, i) + shift)
+            cand = Endomorphism(images, check=False).compose(
+                random_linear(rng, ring, n))
+        else:
+            degrees = [j * s for j in range(1, n // s + 1, 2)]
+            a = (random_element(rng, ring, n, degrees=degrees, terms=1)
+                 if degrees else GrassmannElement.zero(ring, n))
+            cand = inner(GrassmannElement.one(ring, n) + a).compose(
+                random_linear(rng, ring, n))
+        if not member(cand, GroupId("g_zgraded", s)):
+            yield f"graded construction escapes mod-{s} grading: sample {k}"
 
 
 # ---------------------------------------------------------------------------
@@ -859,19 +798,16 @@ def check_n3_exhaustive(p: int = 3) -> CheckResult:
     return _result(f"n=3 exhaustive over GF({p})", failures, count)
 
 
-def check_preimage_odd(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "preim", k)
-        u = GrassmannElement.one(ring, n) + random_even(rng, ring, n, terms=4)
-        result = jacobian_preimage(u)
-        if result.achieved != u:
-            failures.append(f"Jacobian mismatch: sample {k}")
-        if result.sigma.jacobian().det != u:
-            failures.append(f"verification mismatch: sample {k}")
-        if not member(result.sigma, GAMMA):
-            failures.append(f"preimage outside the shift group: sample {k}")
-    return _result(f"odd-n Jacobian surjectivity n={n}", failures, samples)
+@_sampled("preim", "odd-n Jacobian surjectivity n={n}")
+def check_preimage_odd(ring, n, k, rng):
+    u = GrassmannElement.one(ring, n) + random_even(rng, ring, n, terms=4)
+    result = jacobian_preimage(u)
+    if result.achieved != u:
+        yield f"Jacobian mismatch: sample {k}"
+    if result.sigma.jacobian().det != u:
+        yield f"verification mismatch: sample {k}"
+    if not member(result.sigma, GAMMA):
+        yield f"preimage outside the shift group: sample {k}"
 
 
 def check_preimage_even_refusal(ring: Ring, n: int, samples: int, seed) -> CheckResult:
@@ -938,34 +874,31 @@ def check_identity_battery(ring: Ring, seed) -> CheckResult:
     return _result("identity battery", failures, len(cases))
 
 
-def check_identity_battery_random(ring: Ring, n: int, samples: int, seed) -> CheckResult:
-    failures = []
-    for k in range(samples):
-        rng = spawn(seed, "identr", k)
-        a = random_odd(rng, ring, n, terms=2)
-        a = a - GrassmannElement.monomial(ring, n, 0, a.constant_term())
-        sigma = random_gamma_gl(rng, ring, n)
-        if not check_g5ab(ring, n, sigma, a):
-            failures.append(f"conjugation commutator: sample {k}")
-        omega = random_omega(rng, ring, n, terms=2)
-        gamma = random_gamma(rng, ring, n, terms=1)
-        gamma2 = random_gamma(rng, ring, n, terms=1)
-        omega2 = random_omega(rng, ring, n, terms=2)
-        mat_a = random_invertible_matrix(rng, ring, n)
-        mat_b = random_invertible_matrix(rng, ring, n)
-        a1 = random_odd(rng, ring, n, terms=2)
-        a1 = component(a1, 1) + component(a1, 3)  # keep inside degrees 1..n-1
-        a2 = random_odd(rng, ring, n, terms=2)
-        a2 = component(a2, 1) + component(a2, 3)
-        if not check_mul1(ring, n, a1, gamma.images, mat_a, a2, gamma2.images, mat_b):
-            failures.append(f"product law: sample {k}")
-        if not check_invabA(ring, n, a1, gamma.images, mat_a):
-            failures.append(f"inverse law: sample {k}")
-        sigma_full = omega.compose(gamma).compose(linear_endo(ring, mat_a))
-        lam_vec = [ring.random(rng) for _ in range(n)]
-        if not check_slsA(ring, n, sigma_full, lam_vec):
-            failures.append(f"top-shift conjugation: sample {k}")
-    return _result(f"random group-law identities n={n}", failures, samples)
+@_sampled("identr", "random group-law identities n={n}")
+def check_identity_battery_random(ring, n, k, rng):
+    a = random_odd(rng, ring, n, terms=2)
+    a = a - GrassmannElement.monomial(ring, n, 0, a.constant_term())
+    sigma = random_gamma_gl(rng, ring, n)
+    if not check_g5ab(ring, n, sigma, a):
+        yield f"conjugation commutator: sample {k}"
+    omega = random_omega(rng, ring, n, terms=2)
+    gamma = random_gamma(rng, ring, n, terms=1)
+    gamma2 = random_gamma(rng, ring, n, terms=1)
+    omega2 = random_omega(rng, ring, n, terms=2)
+    mat_a = random_invertible_matrix(rng, ring, n)
+    mat_b = random_invertible_matrix(rng, ring, n)
+    a1 = random_odd(rng, ring, n, terms=2)
+    a1 = component(a1, 1) + component(a1, 3)  # keep inside degrees 1..n-1
+    a2 = random_odd(rng, ring, n, terms=2)
+    a2 = component(a2, 1) + component(a2, 3)
+    if not check_mul1(ring, n, a1, gamma.images, mat_a, a2, gamma2.images, mat_b):
+        yield f"product law: sample {k}"
+    if not check_invabA(ring, n, a1, gamma.images, mat_a):
+        yield f"inverse law: sample {k}"
+    sigma_full = omega.compose(gamma).compose(linear_endo(ring, mat_a))
+    lam_vec = [ring.random(rng) for _ in range(n)]
+    if not check_slsA(ring, n, sigma_full, lam_vec):
+        yield f"top-shift conjugation: sample {k}"
 
 
 def check_al2_random(ring: Ring, samples: int, seed) -> CheckResult:

@@ -146,6 +146,20 @@ class TestMemberCommand:
         assert code == 0
         assert out == "true"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("alias, name", [("sigma'", "sigma-prime"),
+                                             ("sigma''", "sigma-double-prime")])
+    @pytest.mark.parametrize("endo", [
+        "x1 -> x1; x2 -> x2; x3 -> x3; x4 -> x4",
+        "x1 -> x1 + x2x3x4; x2 -> x2; x3 -> x3; x4 -> x4"])
+    def test_dims_aliases_name_the_same_group(self, capsys, fmt, alias, name, endo):
+        # the spellings that `dims` accepts select the same group here
+        runs = [run_cli(capsys, "member", "--n", "4", "--group", group,
+                        "--format", fmt, "--endo", endo)
+                for group in (alias, name)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
 
 class TestPreimageCommand:
     def test_odd_n(self, capsys):

@@ -32,6 +32,7 @@ from grassmann.sampling import (
     random_linear,
     random_odd,
     random_omega,
+    random_sigma_word,
     spawn,
 )
 from grassmann.verify import (
@@ -619,6 +620,12 @@ class TestIsAutomorphism:
         assert is_automorphism(sigma)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_sigma_word_is_identity_without_generators(ring, rng, n):
+    # no triple shift and no pair scaling exists for n <= 3
+    assert random_sigma_word(rng, ring, n) == identity_endo(ring, n)
+
+
 class TestChainRules:
     @pytest.mark.parametrize("n", [4, 5])
     def test_matrix_and_determinant(self, ring, n, battery):
@@ -652,3 +659,9 @@ def test_random_gamma_is_identity_without_odd_degrees(ring, rng, n):
     sigma = random_gamma_gl(rng, ring, n)
     assert all(im.is_homogeneous(1) for im in sigma.images)
     assert is_automorphism(sigma)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_sigma_word_is_identity_without_generators(ring, rng, n):
+    # no triple shift and no pair scaling exists for n <= 3
+    assert random_sigma_word(rng, ring, n) == identity_endo(ring, n)
