@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time a dense ``Endomorphism.apply`` on both of its paths, n by n.
 
-    python scripts/apply_scaling.py 8 9 10 11 12
+    PYTHONPATH=src python scripts/apply_scaling.py 8 9 10 11 12
 
 For each n on the command line (default 8..12) and each field (QQ, GF(7)),
 a seeded ``random_automorphism`` is applied to a seeded element holding about

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the scalar elimination and the Jacobian that runs on it, n by n.
 
-    python scripts/elim_scaling.py 7 8 9 10 11 12
+    PYTHONPATH=src python scripts/elim_scaling.py 7 8 9 10 11 12
 
 For each n on the command line (default 7..12) and each field (QQ, GF(7)),
 the table gives the median wall time of ``rings.mat_inv`` on seeded random

@@ -30,6 +30,8 @@ from .endo import (
     jacobian,
     linear_endo,
     parse_endomorphism,
+    scaling_endo,
+    shift_endo,
     skew_partial_prime,
 )
 from .groups import (

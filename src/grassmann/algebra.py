@@ -218,6 +218,13 @@ def dot(ring: Ring, n: int, pairs, cap: int,
     return from_num(ring, n, out, big)
 
 
+def same_algebra(a, b) -> bool:
+    """Whether a and b (elements or endomorphisms) live in one algebra: the
+    same n and the same ring.  Operands almost always share one ring object,
+    so ``is`` is tested before the ring's ``==``."""
+    return a.n == b.n and (a.ring is b.ring or a.ring == b.ring)
+
+
 def _check_n(n: int) -> None:
     if not 1 <= n <= MAX_GENERATORS:
         raise ValueError(f"generator count must be in 1..{MAX_GENERATORS}, got {n}")
@@ -300,10 +307,7 @@ class GrassmannElement:
     # -- ring structure ----------------------------------------------------
 
     def _check_compatible(self, other: "GrassmannElement") -> None:
-        # operands almost always share one ring object; `is` skips the
-        # Python-level __eq__ for them
-        if self.n != other.n or (
-                self.ring is not other.ring and self.ring != other.ring):
+        if not same_algebra(self, other):
             raise DimensionMismatchError(
                 f"incompatible operands: n={self.n}/{other.n}, "
                 f"ring={self.ring!r}/{other.ring!r}")
@@ -396,7 +400,7 @@ class GrassmannElement:
     def __eq__(self, other):
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        return (self.n == other.n and self.ring == other.ring
+        return (same_algebra(self, other)
                 and self.den == other.den and self.num == other.num)
 
     def __hash__(self):

@@ -2,6 +2,10 @@
 
 Composition follows (s*t)(x_i) = s(t(x_i)); with this convention the product
 of two linear substitutions x -> Ax and x -> Bx is the substitution x -> BAx.
+
+Every automorphism is built from four shapes, each with one constructor:
+``inner`` (x -> u x u^-1), ``shift_endo`` (x_i -> x_i + b_i),
+``scaling_endo`` (x_i -> x_i(1 + a_i)) and ``linear_endo`` (x -> Ax).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .algebra import (
     odd_part,
     parse_element,
     restrict,
+    same_algebra,
 )
 from .rings import NotAUnitError, Ring, gauss_jordan_num, mat_det, mat_inv
 from .skewcalc import skew_partial
@@ -56,7 +61,7 @@ class Endomorphism:
             raise DimensionMismatchError(
                 f"expected {self.n} images, got {len(images)}")
         for im in images:
-            if im.n != self.n or im.ring != self.ring:
+            if not same_algebra(im, first):
                 raise DimensionMismatchError("images live in different algebras")
         self.images = images
         self._prods = {0: GrassmannElement.one(self.ring, self.n)}
@@ -121,7 +126,7 @@ class Endomorphism:
         sums directly every term whose product is already memoised or has no
         high bits, and every high group of one term.
         """
-        if e.n != self.n or e.ring != self.ring:
+        if not same_algebra(e, self):
             raise DimensionMismatchError("element/endomorphism dimension mismatch")
         n = self.n
         s = n - (n + 1) // 3
@@ -161,7 +166,7 @@ class Endomorphism:
         images' masks overlap, and sharing memoised products across the n
         images costs less than splitting each one.
         """
-        if other.n != self.n or other.ring != self.ring:
+        if not same_algebra(other, self):
             raise DimensionMismatchError("endomorphism dimension mismatch")
         return Endomorphism([self._apply_memo(im) for im in other.images],
                             check=False)
@@ -174,7 +179,7 @@ class Endomorphism:
     def __eq__(self, other):
         if not isinstance(other, Endomorphism):
             return NotImplemented
-        return self.n == other.n and self.ring == other.ring and self.images == other.images
+        return same_algebra(self, other) and self.images == other.images
 
     def __repr__(self):
         return f"<endo on {self.n} generators: {format_endomorphism(self)}>"
@@ -249,7 +254,7 @@ class Endomorphism:
         By the chain rule d_j = sum_i J[i][j] d'_i, so
         d'_i(e) = sum_j (J^-1)[j][i] d_j(e): one uncut ``dot`` call.
         """
-        if e.n != self.n or e.ring != self.ring:
+        if not same_algebra(e, self):
             raise DimensionMismatchError("element/endomorphism dimension mismatch")
         row = self._dual_data()[i - 1]
         return dot(self.ring, self.n,
@@ -288,15 +293,13 @@ class Endomorphism:
             raise NotInvertibleError("linear part is singular") from None
         lin_inv = linear_endo(ring, a_inv)
         tau = self.compose(lin_inv)  # tau(x_i) = x_i + higher terms
-        gens = [GrassmannElement.generator(ring, n, i + 1) for i in range(n)]
-        shifts = [gens[i] - tau.images[i] for i in range(n)]
-        current = Endomorphism(gens, check=False)
+        current = identity_endo(ring, n)
+        shifts = [x - im for x, im in zip(current.images, tau.images)]
         for _ in range(n + 1):
-            nxt = [gens[i] + current.apply(shifts[i]) for i in range(n)]
-            nxt_endo = Endomorphism(nxt, check=False)
-            if nxt_endo == current:
+            nxt = shift_endo(ring, n, [current.apply(b) for b in shifts])
+            if nxt == current:
                 break
-            current = nxt_endo
+            current = nxt
         return lin_inv.compose(current)
 
     def _inverse_formula(self) -> "Endomorphism":
@@ -498,12 +501,31 @@ def linear_endo(ring: Ring, matrix) -> Endomorphism:
     return Endomorphism(images, check=False)
 
 
+def shift_endo(ring: Ring, n: int, shifts, *, check: bool = False) -> Endomorphism:
+    """x_i -> x_i + shifts[i-1]; a None or zero entry fixes x_i."""
+    images = [GrassmannElement.generator(ring, n, i) for i in range(1, n + 1)]
+    for i, b in enumerate(shifts):
+        if b:
+            images[i] = images[i] + b
+    return Endomorphism(images, check=check)
+
+
+def scaling_endo(ring: Ring, n: int, factors) -> Endomorphism:
+    """x_i -> x_i(1 + factors[i-1]); a None or zero entry fixes x_i."""
+    one = GrassmannElement.one(ring, n)
+    images = [GrassmannElement.generator(ring, n, i) for i in range(1, n + 1)]
+    for i, a in enumerate(factors):
+        if a:
+            images[i] = images[i] * (one + a)
+    return Endomorphism(images, check=False)
+
+
 def coordinate_shift(ring: Ring, n: int, i: int, b: GrassmannElement,
                      *, check: bool = True) -> Endomorphism:
     """x_i -> x_i + b, all other generators fixed."""
-    images = [GrassmannElement.generator(ring, n, k) for k in range(1, n + 1)]
-    images[i - 1] = images[i - 1] + b
-    return Endomorphism(images, check=check)
+    shifts = [None] * n
+    shifts[i - 1] = b
+    return shift_endo(ring, n, shifts, check=check)
 
 
 def inner(u: GrassmannElement) -> Endomorphism:

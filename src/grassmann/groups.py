@@ -10,6 +10,7 @@ enumerates one-parameter generator families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from .algebra import (
@@ -33,6 +34,8 @@ from .endo import (
     is_automorphism,
     linear_endo,
     NotInvertibleError,
+    scaling_endo,
+    shift_endo,
 )
 from .linsolve import (
     AvoidanceTable,
@@ -151,19 +154,23 @@ def _differences(sigma: Endomorphism):
             for i in range(sigma.n)]
 
 
-def _in_gamma(sigma: Endomorphism) -> bool:
-    for d in _differences(sigma):
-        if d and (d != odd_part(d) or d.min_degree() < 3):
-            return False
-    return True
+def _level(diffs):
+    """The filtration level of a map with differences sigma(x_i) - x_i: the
+    least degree of a nonzero one, infinite for the identity, which thus
+    lies in every level."""
+    return min((d.min_degree() for d in diffs if d), default=inf)
 
 
-def _in_u(sigma: Endomorphism) -> bool:
-    return all((not d) or d.min_degree() >= 2 for d in _differences(sigma))
+def _jacobian_one(sigma: Endomorphism) -> bool:
+    return sigma.jacobian().det == GrassmannElement.one(sigma.ring, sigma.n)
 
 
-def _in_phi(sigma: Endomorphism) -> bool:
-    return _in_gamma(sigma) and all(
+def _in_gamma(diffs) -> bool:
+    return _level(diffs) >= 3 and all(d == odd_part(d) for d in diffs)
+
+
+def _in_phi(sigma: Endomorphism, diffs) -> bool:
+    return _in_gamma(diffs) and all(
         im.divisible_by(i + 1) for i, im in enumerate(sigma.images))
 
 
@@ -208,37 +215,8 @@ def _member_witness(sigma: Endomorphism, group: GroupId):
     if not is_automorphism(sigma):
         return False, None
 
-    if kind == "u":
-        return _in_u(sigma), None
-    if kind == "u_pow":
-        return all((not d) or d.min_degree() >= param for d in _differences(sigma)), None
-    if kind == "gamma":
-        return _in_gamma(sigma), None
-    if kind == "gamma_pow":
-        return (_in_gamma(sigma)
-                and all((not d) or d.min_degree() >= param
-                        for d in _differences(sigma))), None
-    if kind == "gamma_graded":
-        if param < 2 or param % 2:
-            raise MembershipError("graded shift groups need an even step s >= 2")
-        if not _in_gamma(sigma):
-            return False, None
-        allowed = {1 + j * param for j in range(1, n // param + 1)}
-        return all(d.degrees() <= allowed for d in _differences(sigma)), None
-    if kind == "phi":
-        return _in_phi(sigma), None
-    if kind == "phi_at":
-        if not 1 <= param <= n:
-            raise MembershipError(f"coordinate index {param} out of range")
-        return _in_gamma(sigma) and sigma.images[param - 1].divisible_by(param), None
     if kind == "phi_prime":
         return all(im.divisible_by(i + 1) for i, im in enumerate(sigma.images)), None
-    if kind == "phi_pow":
-        return (_in_phi(sigma)
-                and all((not d) or d.min_degree() >= param
-                        for d in _differences(sigma))), None
-    if kind == "phi_prime_layer":
-        return _in_phi_prime_layer(sigma, param), None
     if kind == "g_even":
         return all(not odd_part(im - component(im, 1)) for im in sigma.images), None
     if kind == "g_odd":
@@ -258,41 +236,58 @@ def _member_witness(sigma: Endomorphism, group: GroupId):
         if a is None:
             return False, None
         allowed = {j * param for j in range(1, n // param + 1, 2)}
-        proj = GrassmannElement(
-            ring, n, {m: c for m, c in a.terms.items() if m.bit_count() in allowed})
+        proj = restrict(a, {m: c for m, c in a.num.items() if m.bit_count() in allowed})
         if inner(GrassmannElement.one(ring, n) + proj) == sigma:
             return True, proj
         return False, None
+
+    # the remaining groups are cut out by the differences sigma(x_i) - x_i
+    diffs = _differences(sigma)
+    if kind == "u":
+        return _level(diffs) >= 2, None
+    if kind == "u_pow":
+        return _level(diffs) >= param, None
+    if kind == "gamma":
+        return _in_gamma(diffs), None
+    if kind == "gamma_pow":
+        return _in_gamma(diffs) and _level(diffs) >= param, None
+    if kind == "gamma_graded":
+        if param < 2 or param % 2:
+            raise MembershipError("graded shift groups need an even step s >= 2")
+        if not _in_gamma(diffs):
+            return False, None
+        allowed = {1 + j * param for j in range(1, n // param + 1)}
+        return all(d.degrees() <= allowed for d in diffs), None
+    if kind == "phi":
+        return _in_phi(sigma, diffs), None
+    if kind == "phi_at":
+        if not 1 <= param <= n:
+            raise MembershipError(f"coordinate index {param} out of range")
+        return _in_gamma(diffs) and sigma.images[param - 1].divisible_by(param), None
+    if kind == "phi_pow":
+        return _in_phi(sigma, diffs) and _level(diffs) >= param, None
+    if kind == "phi_prime_layer":
+        return _in_phi_prime_layer(sigma, diffs, param), None
     if kind == "sigma":
-        return (_in_gamma(sigma)
-                and sigma.jacobian().det == GrassmannElement.one(ring, n)), None
+        return _in_gamma(diffs) and _jacobian_one(sigma), None
     if kind == "sigma_prime":
-        return (_in_phi(sigma)
-                and sigma.jacobian().det == GrassmannElement.one(ring, n)), None
+        return _in_phi(sigma, diffs) and _jacobian_one(sigma), None
     if kind == "sigma_prime_pow":
-        ok = (_in_phi(sigma)
-              and sigma.jacobian().det == GrassmannElement.one(ring, n)
-              and all((not d) or d.min_degree() >= param
-                      for d in _differences(sigma)))
-        return ok, None
+        return (_in_phi(sigma, diffs) and _jacobian_one(sigma)
+                and _level(diffs) >= param), None
     if kind == "gamma_asc":
         if param < 2 or param % 2:
             raise MembershipError("Jacobian ascent levels are even and >= 2")
-        return _in_gamma(sigma) and sigma.jacobian().valuation >= param, None
+        return _in_gamma(diffs) and sigma.jacobian().valuation >= param, None
     if kind == "sigma_double_prime":
-        if not _in_gamma(sigma):
+        if not (_in_gamma(diffs) and _jacobian_one(sigma)):
             return False, None
-        if sigma.jacobian().det != GrassmannElement.one(ring, n):
-            return False, None
-        word = decompose_gamma(sigma)
-        phi = word.phi
-        ok = (member(phi, SIGMA_PRIME)
-              and all((not d) or d.min_degree() >= 5 for d in _differences(phi)))
-        return ok, None
+        phi = decompose_gamma(sigma).phi
+        return member(phi, SIGMA_PRIME) and _level(_differences(phi)) >= 5, None
     raise MembershipError(f"unsupported group {group}")
 
 
-def _in_phi_prime_layer(sigma: Endomorphism, level: int) -> bool:
+def _in_phi_prime_layer(sigma: Endomorphism, diffs, level: int) -> bool:
     """The scaling subgroup whose first layer lies in the canonical section."""
     n = sigma.n
     if level < 3 or level % 2 == 0:
@@ -300,9 +295,7 @@ def _in_phi_prime_layer(sigma: Endomorphism, level: int) -> bool:
     s = (level - 1) // 2
     if s > (n - 1) // 2:
         raise MembershipError(f"layer level {level} out of range for n={n}")
-    if not _in_phi(sigma):
-        return False
-    if any(d and d.min_degree() < level for d in _differences(sigma)):
+    if not _in_phi(sigma, diffs) or _level(diffs) < level:
         return False
     full = (1 << n) - 1
     for i in range(1, n + 1):
@@ -313,7 +306,7 @@ def _in_phi_prime_layer(sigma: Endomorphism, level: int) -> bool:
                 return False
             continue
         tail = indices_mask(range(i + 1, n + 1))
-        for mask in b_i.terms:
+        for mask in b_i.num:
             if (mask & tail) != tail or (full ^ mask).bit_length() != i:
                 return False
     return True
@@ -332,9 +325,8 @@ class OmegaGammaLinear:
 
     def recompose(self, ring: Ring, n: int) -> Endomorphism:
         one = GrassmannElement.one(ring, n)
-        gamma = Endomorphism(
-            [_gen(ring, n, i + 1) + self.b[i] for i in range(n)], check=False)
-        return inner(one + self.a).compose(gamma).compose(linear_endo(ring, self.matrix))
+        return (inner(one + self.a).compose(shift_endo(ring, n, self.b))
+                .compose(linear_endo(ring, self.matrix)))
 
     def to_json(self):
         return {
@@ -357,12 +349,8 @@ class UnipotentWord:
         acc = identity_endo(self.ring, self.n)
         one = GrassmannElement.one(self.ring, self.n)
         for kind, data in self.factors:
-            if kind == "inner":
-                f = inner(one + data)
-            else:
-                f = Endomorphism(
-                    [_gen(self.ring, self.n, i + 1) + data[i]
-                     for i in range(self.n)], check=False)
+            f = (inner(one + data) if kind == "inner"
+                 else shift_endo(self.ring, self.n, data))
             acc = f.compose(acc)
         return acc
 
@@ -461,26 +449,21 @@ class LayerWord:
 
 def _shift_product(ring: Ring, n: int, shifts) -> Endomorphism:
     """Ordered product of x_i -> x_i + shifts[i-1], i ascending, i=1 leftmost."""
-    acc = None
+    acc = identity_endo(ring, n)
     for i in range(n, 0, -1):
-        c = shifts[i - 1]
-        if c is None or not c:
-            continue
-        f = coordinate_shift(ring, n, i, c, check=False)
-        acc = f if acc is None else f.compose(acc)
-    return acc if acc is not None else identity_endo(ring, n)
+        if shifts[i - 1]:
+            acc = coordinate_shift(ring, n, i, shifts[i - 1], check=False).compose(acc)
+    return acc
 
 
 def rho_endo(ring: Ring, n: int, i: int, j: int, mask: int, lam) -> Endomorphism:
     """x_i -> x_i(1 + lam sup), x_j -> x_j(1 - lam sup), others fixed."""
     if (mask >> (i - 1)) & 1 or (mask >> (j - 1)) & 1:
         raise ValueError("pair-scaling support must avoid both coordinates")
-    one = GrassmannElement.one(ring, n)
     sup = GrassmannElement.monomial(ring, n, mask, lam)
-    images = [_gen(ring, n, k) for k in range(1, n + 1)]
-    images[i - 1] = images[i - 1] * (one + sup)
-    images[j - 1] = images[j - 1] * (one - sup)
-    return Endomorphism(images, check=False)
+    factors = [None] * n
+    factors[i - 1], factors[j - 1] = sup, -sup
+    return scaling_endo(ring, n, factors)
 
 
 def rho_product(ring: Ring, n: int, s: int, lambdas: dict,
@@ -500,14 +483,8 @@ def rho_product(ring: Ring, n: int, s: int, lambdas: dict,
 
 def layer_scaling(ring: Ring, n: int, s: int, a: GrassmannElement) -> Endomorphism:
     """The scaling map built from the canonical split of a degree-2s element."""
-    split = layer_split(a, s)
-    one = GrassmannElement.one(ring, n)
-    images = []
-    for i in range(1, n + 1):
-        x = _gen(ring, n, i)
-        part = split.parts.get(i)
-        images.append(x if part is None or not part else x * (one + part))
-    return Endomorphism(images, check=False)
+    parts = layer_split(a, s).parts
+    return scaling_endo(ring, n, [parts.get(i) for i in range(1, n + 1)])
 
 
 _avoid_cache: dict = {}
@@ -534,8 +511,7 @@ def decompose_omega_gamma_linear(sigma: Endomorphism) -> OmegaGammaLinear:
     odds = [odd_part(im) for im in sigma.images]
     b = [lincomb(ring, n, zip(row, odds)) - _gen(ring, n, i + 1)
          for i, row in enumerate(a_inv)]
-    gamma = Endomorphism([_gen(ring, n, i + 1) + b[i] for i in range(n)],
-                         check=False)
+    gamma = shift_endo(ring, n, b)
     gamma_inv = gamma.inverse()
     evens = [gamma_inv.apply(even_part(im)) for im in sigma.images]
     acc = xi_particular([lincomb(ring, n, zip(row, evens)) for row in a_inv])
@@ -547,7 +523,7 @@ def decompose_omega_gamma_linear(sigma: Endomorphism) -> OmegaGammaLinear:
         top = (1 << n) - 1
         a = a - GrassmannElement.monomial(ring, n, top, a.coefficient(top))
     extra = a_raw - a
-    if extra and set(extra.terms) != {(1 << n) - 1}:
+    if extra and set(extra.num) != {(1 << n) - 1}:
         raise DecompositionError("inner part has unexpected content off the top monomial")
     result = OmegaGammaLinear(a=a, b=tuple(b), matrix=a_mat)
     if result.recompose(ring, n) != sigma:
@@ -597,10 +573,7 @@ def decompose_unipotent(sigma: Endomorphism) -> UnipotentWord:
             if any(leading[i] != odd_part(leading[i]) for i in range(n)):
                 raise DecompositionError(f"odd level {level} has even content")
             if any(leading):
-                shift = Endomorphism(
-                    [_gen(ring, n, i + 1) + leading[i] for i in range(n)],
-                    check=False)
-                residual = residual.compose(shift.inverse())
+                residual = residual.compose(shift_endo(ring, n, leading).inverse())
                 factors.append(("shift", tuple(leading)))
     if not residual.is_identity():
         raise DecompositionError("filtration peeling left a nontrivial residual")
@@ -693,7 +666,7 @@ def decompose_layers(sigma: Endomorphism) -> LayerWord:
         if a2s:
             factor = layer_scaling(ring, n, s, a2s)
             residual = factor.inverse().compose(residual)
-    if residual.jacobian().det != one:
+    if not _jacobian_one(residual):
         raise DecompositionError("layer peeling left a Jacobian != 1 tail")
     word = LayerWord(layers=layers, tail=residual)
     if word.recompose() != sigma:
@@ -747,7 +720,7 @@ def jacobian_preimage(u: GrassmannElement, *, exact: bool = True) -> PreimageRes
     forced = achieved.coefficient(top)
     if achieved - u:
         mismatch = achieved - u
-        if set(mismatch.terms) != {top}:
+        if set(mismatch.num) != {top}:
             raise NoPreimageError("even-n construction failed below the top degree")
         if exact:
             raise NoPreimageError(

@@ -16,6 +16,8 @@ from .endo import (
     identity_endo,
     inner,
     linear_endo,
+    scaling_endo,
+    shift_endo,
 )
 from .groups import SIGMA, member
 from .rings import Ring, mat_det, mat_inv, mat_mul
@@ -128,12 +130,10 @@ def check_com1(ring: Ring, n: int, i: int, j: int, alpha, beta, lam, mu) -> bool
     _require(len(b) % 2 == 0 and len(b) >= 2, "second support must be even")
     lhs = commutator(_shift(ring, n, i, (j,) + a, lam),
                      _shift(ring, n, j, (i,) + b, mu))
-    one = GrassmannElement.one(ring, n)
     prod = ordered_product(ring, n, a + b, ring.normalize(lam * mu))
-    images = [GrassmannElement.generator(ring, n, k) for k in range(1, n + 1)]
-    images[i - 1] = images[i - 1] * (one - prod)
-    images[j - 1] = images[j - 1] * (one + prod)
-    return lhs == Endomorphism(images, check=True)
+    factors = [None] * n
+    factors[i - 1], factors[j - 1] = -prod, prod
+    return lhs == scaling_endo(ring, n, factors)
 
 
 def check_dvac1(ring: Ring, n: int, i: int, j: int, alpha, beta, gamma,
@@ -281,6 +281,13 @@ def check_xipq2(ring: Ring, n: int, i: int, j: int, kl_pairs,
 
 # -- group-law identities ------------------------------------------------------
 
+def _top_shift(ring, n, lams) -> Endomorphism:
+    """x_i -> x_i + lams[i-1] * x_1 ... x_n."""
+    theta = (1 << n) - 1
+    return shift_endo(ring, n, [GrassmannElement.monomial(ring, n, theta, lam)
+                                for lam in lams])
+
+
 def _full_product(ring, n, a, b_images, matrix) -> Endomorphism:
     one = GrassmannElement.one(ring, n)
     gamma = Endomorphism(b_images, check=False)
@@ -323,37 +330,23 @@ def check_invabA(ring: Ring, n: int, a, b_images, mat_a) -> bool:
 
 def check_slsA(ring: Ring, n: int, sigma: Endomorphism, lam_vec) -> bool:
     """Conjugating a top-monomial shift: sigma^-1 tau_lam sigma = tau_(A lam / det A)."""
-    theta = (1 << n) - 1
     a_mat = sigma.linear_part()
     det = mat_det(ring, a_mat)
     _require(ring.is_unit(det), "sigma must have invertible linear part")
-    tau = Endomorphism(
-        [GrassmannElement.generator(ring, n, i + 1)
-         + GrassmannElement.monomial(ring, n, theta, lam_vec[i])
-         for i in range(n)], check=False)
-    lhs = sigma.inverse().compose(tau).compose(sigma)
+    lhs = sigma.inverse().compose(_top_shift(ring, n, lam_vec)).compose(sigma)
     det_inv = ring.invert(det)
     new_lam = [ring.normalize(
         sum(a_mat[i][j] * lam_vec[j] for j in range(n)) * det_inv)
         for i in range(n)]
-    rhs = Endomorphism(
-        [GrassmannElement.generator(ring, n, i + 1)
-         + GrassmannElement.monomial(ring, n, theta, new_lam[i])
-         for i in range(n)], check=False)
-    return lhs == rhs
+    return lhs == _top_shift(ring, n, new_lam)
 
 
 def check_al2(ring: Ring, mat_a, lam, mat_b, mu) -> bool:
     """The n = 2 composition law for linear times top-shift factors."""
     n = 2
-    theta = 0b11
 
     def pair(mat, vec):
-        shift = Endomorphism(
-            [GrassmannElement.generator(ring, n, i + 1)
-             + GrassmannElement.monomial(ring, n, theta, vec[i])
-             for i in range(n)], check=False)
-        return linear_endo(ring, mat).compose(shift)
+        return linear_endo(ring, mat).compose(_top_shift(ring, n, vec))
 
     _require(ring.is_unit(mat_det(ring, mat_a)) and ring.is_unit(mat_det(ring, mat_b)),
              "matrices must be invertible")
@@ -369,16 +362,10 @@ def check_al2(ring: Ring, mat_a, lam, mat_b, mu) -> bool:
 def check_group_law_n3(ring: Ring, lam, mu, mat_a, lam2, mu2, mat_b) -> bool:
     """The n = 3 composition law for inner * top-shift * linear triples."""
     n = 3
-    theta = 0b111
 
     def triple(l, m, mat):
-        one = GrassmannElement.one(ring, n)
         a = GrassmannElement(ring, n, {1 << i: l[i] for i in range(n)})
-        gamma = Endomorphism(
-            [GrassmannElement.generator(ring, n, i + 1)
-             + GrassmannElement.monomial(ring, n, theta, m[i])
-             for i in range(n)], check=False)
-        return inner(one + a).compose(gamma).compose(linear_endo(ring, mat))
+        return _full_product(ring, n, a, _top_shift(ring, n, m).images, mat)
 
     lhs = triple(lam, mu, mat_a).compose(triple(lam2, mu2, mat_b))
     det_a = mat_det(ring, mat_a)
@@ -394,11 +381,7 @@ def check_group_law_n3(ring: Ring, lam, mu, mat_a, lam2, mu2, mat_b) -> bool:
 def nonnormality_witness(ring: Ring) -> bool:
     """At n = 5: an explicit conjugate of a Jacobian-1 map leaves the group."""
     n = 5
-    one = GrassmannElement.one(ring, n)
-    x1 = GrassmannElement.generator(ring, n, 1)
-    images = [GrassmannElement.generator(ring, n, i) for i in range(1, n + 1)]
-    images[0] = x1 * (one + ordered_product(ring, n, (2, 3)))
-    sigma = Endomorphism(images, check=False)
+    sigma = scaling_endo(ring, n, [ordered_product(ring, n, (2, 3))] + [None] * (n - 1))
     tau = coordinate_shift(ring, n, 2, ordered_product(ring, n, (1, 4, 5)),
                            check=False)
     if not member(tau, SIGMA):

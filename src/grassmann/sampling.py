@@ -12,7 +12,8 @@ import random
 from itertools import combinations
 
 from .algebra import GrassmannElement, indices_mask
-from .endo import Endomorphism, coordinate_shift, identity_endo, inner, linear_endo
+from .endo import (Endomorphism, coordinate_shift, identity_endo, inner,
+                   linear_endo, scaling_endo, shift_endo)
 from .groups import _avoidance, rho_endo
 from .rings import Ring, mat_det
 
@@ -74,13 +75,11 @@ def random_gamma(rng, ring, n: int, *, terms: int = 3) -> Endomorphism:
 
 def random_gamma_pow(rng, ring, n: int, level: int, *, terms: int = 2) -> Endomorphism:
     """A random shift automorphism with differences of odd degree >= level."""
-    images = []
     degrees = [d for d in range(level, n + 1) if d % 2 == 1]
-    for i in range(1, n + 1):
-        shift = (random_element(rng, ring, n, degrees=degrees, terms=terms)
-                 if degrees else GrassmannElement.zero(ring, n))
-        images.append(GrassmannElement.generator(ring, n, i) + shift)
-    return Endomorphism(images, check=False)
+    if not degrees:
+        return identity_endo(ring, n)
+    return shift_endo(ring, n, [
+        random_element(rng, ring, n, degrees=degrees, terms=terms) for _ in range(n)])
 
 
 def random_omega(rng, ring, n: int, *, terms: int = 3) -> Endomorphism:
@@ -92,8 +91,7 @@ def random_omega(rng, ring, n: int, *, terms: int = 3) -> Endomorphism:
 
 def random_phi(rng, ring, n: int, *, terms: int = 2) -> Endomorphism:
     """A random scaling automorphism x_i -> x_i (1 + even x_i-free)."""
-    one = GrassmannElement.one(ring, n)
-    images = []
+    factors = []
     for i in range(1, n + 1):
         pool = [k for k in range(1, n + 1) if k != i]
         a = GrassmannElement.zero(ring, n)
@@ -103,8 +101,8 @@ def random_phi(rng, ring, n: int, *, terms: int = 2) -> Endomorphism:
                 continue
             mask = indices_mask(rng.sample(pool, d))
             a = a + GrassmannElement.monomial(ring, n, mask, ring.random(rng))
-        images.append(GrassmannElement.generator(ring, n, i) * (one + a))
-    return Endomorphism(images, check=False)
+        factors.append(a)
+    return scaling_endo(ring, n, factors)
 
 
 def random_shift_word(rng, ring, n: int, *, length: int = 4) -> Endomorphism:

@@ -34,6 +34,7 @@ from .endo import (
     identity_endo,
     inner,
     linear_endo,
+    shift_endo,
 )
 from .groups import (
     GAMMA,
@@ -55,6 +56,7 @@ from .groups import (
     member,
 )
 from .identities import (
+    _top_shift,
     check_al2,
     check_g5ab,
     check_group_law_n3,
@@ -339,7 +341,7 @@ def check_xi_solver(ring, n, k, rng):
             yield f"substitution: sample {k}"
             break
     diff = family.particular - a
-    if any(m != (1 << n) - 1 for m in diff.terms):
+    if any(m != (1 << n) - 1 for m in diff.num):
         yield f"family misses the generator: sample {k}"
     # inconsistent perturbations must be rejected with the right condition
     i0 = rng.randrange(1, n + 1)
@@ -517,8 +519,7 @@ def check_oga_roundtrip(ring, n, k, rng):
     fact = decompose_omega_gamma_linear(sigma)
     if fact.recompose(ring, n) != sigma:
         yield f"recomposition failed on sample {k}: {format_endomorphism(sigma)}"
-    gamma_back = Endomorphism(
-        [_gen(ring, n, i + 1) + fact.b[i] for i in range(n)], check=False)
+    gamma_back = shift_endo(ring, n, fact.b)
     if gamma_back != gamma or linear_endo(ring, fact.matrix) != lin:
         yield f"parts not recovered: sample {k}"
     if not member(inner(GrassmannElement.one(ring, n) + fact.a), OMEGA):
@@ -710,13 +711,9 @@ def check_graded_groups(ring, n, k, rng):
     for s in range(2, n + 1):
         if s % 2 == 0:
             degrees = [1 + j * s for j in range(1, (n - 1) // s + 1) if 1 + j * s <= n]
-            images = []
-            for i in range(1, n + 1):
-                shift = (random_element(rng, ring, n, degrees=degrees, terms=1)
-                         if degrees else GrassmannElement.zero(ring, n))
-                images.append(_gen(ring, n, i) + shift)
-            cand = Endomorphism(images, check=False).compose(
-                random_linear(rng, ring, n))
+            shifts = [random_element(rng, ring, n, degrees=degrees, terms=1)
+                      if degrees else None for _ in range(n)]
+            cand = shift_endo(ring, n, shifts).compose(random_linear(rng, ring, n))
         else:
             degrees = [j * s for j in range(1, n // s + 1, 2)]
             a = (random_element(rng, ring, n, degrees=degrees, terms=1)
@@ -768,20 +765,16 @@ def check_n3_exhaustive(p: int = 3) -> CheckResult:
     ring = GF(p)
     n = 3
     failures = []
-    theta = 0b111
     seen = {}
     count = 0
     for l1 in range(p):
         for l2 in range(p):
             for l3 in range(p):
-                sigma = Endomorphism(
-                    [_gen(ring, n, i + 1)
-                     + GrassmannElement.monomial(ring, n, theta, (l1, l2, l3)[i])
-                     for i in range(n)], check=False)
+                sigma = _top_shift(ring, n, (l1, l2, l3))
                 if not member(sigma, GAMMA):
                     failures.append(f"{(l1, l2, l3)} outside the shift group")
                 det = sigma.jacobian().det
-                key = tuple(sorted(det.terms.items()))
+                key = tuple(sorted(det.num.items()))
                 if key in seen:
                     failures.append(f"Jacobian collision {(l1, l2, l3)} vs {seen[key]}")
                 seen[key] = (l1, l2, l3)
@@ -828,7 +821,7 @@ def check_preimage_even_refusal(ring: Ring, n: int, samples: int, seed) -> Check
         sigma = random_gamma(rng, ring, n, terms=2)
         det = sigma.jacobian().det
         diff = det - one
-        if diff and set(diff.terms) == {theta}:
+        if diff and set(diff.num) == {theta}:
             failures.append(f"Jacobian landed in 1 + K* top: sample {k}")
     return _result(f"even-n top-layer refusal n={n}", failures, samples)
 

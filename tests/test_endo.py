@@ -4,6 +4,7 @@ import pytest
 
 from conftest import brute_force_product
 from grassmann.algebra import (
+    DimensionMismatchError,
     GrassmannElement,
     lincomb,
     parse_element,
@@ -22,8 +23,11 @@ from grassmann.endo import (
     is_automorphism,
     linear_endo,
     parse_endomorphism,
+    scaling_endo,
+    shift_endo,
 )
-from grassmann.rings import GF, QQ, NotAUnitError, gauss_jordan, mat_det, mat_inv
+from grassmann.rings import (GF, QQ, NotAUnitError, PrimeField, gauss_jordan,
+                             mat_det, mat_inv)
 from grassmann.sampling import (
     random_automorphism,
     random_element,
@@ -630,6 +634,57 @@ class TestChainRules:
     @pytest.mark.parametrize("n", [4, 5])
     def test_matrix_and_determinant(self, ring, n, battery):
         battery(check_chain_rule, ring, n, 20)
+
+
+class TestShapeConstructors:
+    def test_shift_endo_matches_text(self, ring):
+        n = 4
+        shifts = [parse_element(ring, n, "x2x3x4"), None,
+                  GrassmannElement.zero(ring, n),
+                  parse_element(ring, n, "2*x1x2x3 - x1x2x4")]
+        assert shift_endo(ring, n, shifts) == endo(
+            ring, n, "x1 -> x1 + x2x3x4; x2 -> x2; x3 -> x3; "
+                     "x4 -> x4 + 2*x1x2x3 - x1x2x4")
+
+    def test_scaling_endo_matches_text(self, ring):
+        n = 4
+        factors = [parse_element(ring, n, "x2x3"), GrassmannElement.zero(ring, n),
+                   None, parse_element(ring, n, "3*x1x2 - x2x3")]
+        assert scaling_endo(ring, n, factors) == endo(
+            ring, n, "x1 -> x1 + x1x2x3; x2 -> x2; x3 -> x3; "
+                     "x4 -> x4 + 3*x1x2x4 - x2x3x4")
+
+
+class TestSameAlgebra:
+    """Equal rings held in distinct objects mix; unequal rings do not."""
+
+    def test_equal_prime_fields_mix(self):
+        n = 3
+        p7, gf7 = PrimeField(7), GF(7)
+        assert p7 is not gf7 and p7 == gf7
+        text = "x1 -> x1 + x1x2x3; x2 -> 2*x2 + x1; x3 -> x3"
+        sigma, tau = endo(p7, n, text), endo(gf7, n, text)
+        e = parse_element(gf7, n, "1 + x1x2 + 3*x3")
+        assert sigma == tau
+        assert sigma.apply(e) == tau.apply(e)
+        assert sigma.compose(tau) == tau.compose(tau)
+        assert tau.compose(sigma) == tau.compose(tau)
+        mixed = Endomorphism([sigma.images[0], tau.images[1], sigma.images[2]])
+        assert mixed == tau
+        assert sigma.dual_skew_partial(1, e) == tau.dual_skew_partial(1, e)
+
+    def test_other_prime_field_raises(self):
+        n = 3
+        text = "x1 -> x1 + x1x2x3; x2 -> x2; x3 -> x3"
+        sigma, other = endo(GF(7), n, text), endo(GF(11), n, text)
+        e = parse_element(GF(11), n, "1 + x1x2")
+        for call in (lambda: sigma.apply(e), lambda: sigma.compose(other),
+                     lambda: sigma.dual_skew_partial(1, e),
+                     lambda: Endomorphism([sigma.images[0], *other.images[1:]]),
+                     lambda: sigma.images[0] + e):
+            with pytest.raises(DimensionMismatchError):
+                call()
+        assert sigma != other
 
 
 class TestEndoGrammar:

@@ -102,7 +102,10 @@ class TestMembership:
                   GroupId("u_pow", 3), GroupId("phi_at", 2),
                   GroupId("g_zgraded", 3), GroupId("gamma_graded", 2),
                   GroupId("omega_graded", 3), GroupId("sigma_prime_pow", 5),
-                  GroupId("phi_pow", 5), GroupId("phi_prime_layer", 3)):
+                  GroupId("phi_pow", 5), GroupId("phi_prime_layer", 3),
+                  # above every difference degree: the identity has none
+                  GroupId("u_pow", n + 2), GroupId("gamma_pow", n + 2),
+                  GroupId("phi_pow", n + 2), GroupId("sigma_prime_pow", n + 2)):
             assert member(ident, g), g
 
     def test_triple_shift_in_sigma(self, ring):
