@@ -225,7 +225,8 @@ def same_algebra(a, b) -> bool:
     return a.n == b.n and (a.ring is b.ring or a.ring == b.ring)
 
 
-def _check_n(n: int) -> None:
+def check_n(n: int) -> None:
+    """Refuse a generator count outside 1..MAX_GENERATORS."""
     if not 1 <= n <= MAX_GENERATORS:
         raise ValueError(f"generator count must be in 1..{MAX_GENERATORS}, got {n}")
 
@@ -241,7 +242,7 @@ class GrassmannElement:
     __slots__ = ("ring", "n", "num", "den", "_terms", "_hash")
 
     def __init__(self, ring: Ring, n: int, terms=None):
-        _check_n(n)
+        check_n(n)
         clean = {}
         if terms:
             limit = 1 << n
@@ -276,7 +277,7 @@ class GrassmannElement:
 
     @staticmethod
     def zero(ring: Ring, n: int) -> "GrassmannElement":
-        _check_n(n)
+        check_n(n)
         return wrap(ring, n, {})
 
     @staticmethod
@@ -285,19 +286,19 @@ class GrassmannElement:
 
     @staticmethod
     def one(ring: Ring, n: int) -> "GrassmannElement":
-        _check_n(n)
+        check_n(n)
         return wrap(ring, n, {0: 1})
 
     @staticmethod
     def generator(ring: Ring, n: int, i: int) -> "GrassmannElement":
-        _check_n(n)
+        check_n(n)
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} out of range 1..{n}")
         return wrap(ring, n, {1 << (i - 1): 1})
 
     @staticmethod
     def monomial(ring: Ring, n: int, mask: int, coeff=None) -> "GrassmannElement":
-        _check_n(n)
+        check_n(n)
         if coeff is None:
             return wrap(ring, n, {mask: 1})
         c = ring.normalize(coeff)
@@ -550,7 +551,7 @@ def parse_element(ring: Ring, n: int, text: str) -> GrassmannElement:
     if pos != len(compact):
         raise ValueError(f"cannot parse element near {compact[pos:]!r}")
 
-    _check_n(n)  # rejects a bad n before any term
+    check_n(n)  # rejects a bad n before any term
     terms = {}
     p = ring.modulus
     i = 0

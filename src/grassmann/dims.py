@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
+from .algebra import check_n
 from .groups import normalize_group_name
 from .linsolve import admissible_supports
 
@@ -26,6 +27,7 @@ _SIGMA_FAMILY = {
 
 
 def _check_range(kind: str, n: int) -> None:
+    check_n(n)
     if kind in _SIGMA_FAMILY:
         if n < 4:
             raise ValueError(f"dimension of {kind} needs n >= 4")

@@ -15,6 +15,7 @@ from typing import Optional
 
 from .algebra import (
     GrassmannElement,
+    check_n,
     component,
     even_part,
     element_to_json,
@@ -47,7 +48,7 @@ from .linsolve import (
     xi_particular,
 )
 from .rings import NotAUnitError, Ring, mat_inv
-from .skewcalc import apply_partial_word, skew_partial
+from .skewcalc import skew_partial
 
 
 class MembershipError(ValueError):
@@ -297,18 +298,11 @@ def _in_phi_prime_layer(sigma: Endomorphism, diffs, level: int) -> bool:
         raise MembershipError(f"layer level {level} out of range for n={n}")
     if not _in_phi(sigma, diffs) or _level(diffs) < level:
         return False
-    full = (1 << n) - 1
     for i in range(1, n + 1):
-        a_i = skew_partial(i, sigma.images[i - 1])  # x_i * a_i == image
-        b_i = component(a_i, 2 * s)
-        if i < n - 2 * s:
-            if b_i:
-                return False
-            continue
-        tail = indices_mask(range(i + 1, n + 1))
-        for mask in b_i.num:
-            if (mask & tail) != tail or (full ^ mask).bit_length() != i:
-                return False
+        # x_i * a_i == image; the layer of a_i must be the label-i part
+        b_i = component(skew_partial(i, sigma.images[i - 1]), 2 * s)
+        if any(part for label, part in layer_split(b_i, s).parts.items() if label != i):
+            return False
     return True
 
 
@@ -543,31 +537,16 @@ def decompose_unipotent(sigma: Endomorphism) -> UnipotentWord:
     residual = sigma
     for level in range(2, n + 1):
         if level % 2 == 0:
-            # inner factor: absorb the even leading layer coordinate by coordinate
-            parts = GrassmannElement.zero(ring, n)
-            for i in range(1, min(level, n) + 1):
-                cur = component(residual.images[i - 1] - _gen(ring, n, i), level)
-                if not cur:
-                    continue
-                b_i = skew_partial(i, cur)
-                if _gen(ring, n, i) * b_i != cur:
-                    raise DecompositionError(
-                        f"level-{level} layer of x{i} is not a multiple of x{i}")
-                prefix = (1 << (i - 1)) - 1
-                stripped = apply_partial_word(b_i, prefix)
-                if GrassmannElement.monomial(ring, n, prefix) * stripped != b_i:
-                    raise DecompositionError(
-                        f"level-{level} layer of x{i} lacks the forced prefix")
-                part = b_i.scale(-half)
-                parts = parts + part
-                residual = residual.compose(inner(one - part))
-            # coordinates above the level bound must now be clean
+            # inner factor: x_i * a = -1/2 times the even leading layer of x_i
+            a = xi_particular([component(d, level).scale(-half)
+                               for d in _differences(residual)])
+            if a:
+                residual = residual.compose(inner(one - a))
+                factors.append(("inner", a))
             for i in range(1, n + 1):
                 if component(residual.images[i - 1] - _gen(ring, n, i), level):
                     raise DecompositionError(
                         f"inner factor did not clear level {level} at x{i}")
-            if parts:
-                factors.append(("inner", parts))
         else:
             leading = [component(d, level) for d in _differences(residual)]
             if any(leading[i] != odd_part(leading[i]) for i in range(n)):
@@ -650,25 +629,19 @@ def decompose_sigma_prime(sigma: Endomorphism) -> SigmaPrimeWord:
 
 def decompose_layers(sigma: Endomorphism) -> LayerWord:
     """Factor a shift automorphism into Jacobian layer factors and a
-    Jacobian-1 tail, one even degree at a time."""
+    Jacobian-1 tail, one even degree at a time: the layers are peeled off
+    J(sigma) by the loop of ``jacobian_preimage``, and the tail is the
+    inverse of their product times sigma."""
     ring, n = sigma.ring, sigma.n
     if n < 4:
         raise DecompositionError("layer factorization needs n >= 4")
     if not member(sigma, GAMMA):
         raise DecompositionError("input is not an odd shift automorphism")
-    one = GrassmannElement.one(ring, n)
-    layers = {}
-    residual = sigma
-    for s in range(1, (n - 1) // 2 + 1):
-        det = residual.jacobian().det
-        a2s = component(det - one, 2 * s)
-        layers[s] = a2s
-        if a2s:
-            factor = layer_scaling(ring, n, s, a2s)
-            residual = factor.inverse().compose(residual)
-    if not _jacobian_one(residual):
+    layers, acc = _peel_layers(sigma.jacobian().det)
+    tail = acc.inverse().compose(sigma)
+    if not _jacobian_one(tail):
         raise DecompositionError("layer peeling left a Jacobian != 1 tail")
-    word = LayerWord(layers=layers, tail=residual)
+    word = LayerWord(layers=layers, tail=tail)
     if word.recompose() != sigma:
         raise DecompositionError("factor recomposition mismatch")
     return word
@@ -682,6 +655,26 @@ class PreimageResult:
     sigma: Endomorphism
     achieved: GrassmannElement
     forced_top: object  # top-monomial coefficient forced for even n, else None
+
+
+def _peel_layers(u: GrassmannElement):
+    """``(layers, acc)`` read off a Jacobian value u: layers[s] is the
+    degree-2s part of the moving target, zero or not, and acc the product of
+    the layer factors, lowest degree leftmost.  After a factor f the target
+    moves on by the chain rule J(f^-1 . sigma) = f^-1(J(f)^-1 * J(sigma))."""
+    ring, n = u.ring, u.n
+    one = GrassmannElement.one(ring, n)
+    acc = identity_endo(ring, n)
+    layers = {}
+    target = u
+    for s in range(1, (n - 1) // 2 + 1):
+        a2s = layers[s] = component(target - one, 2 * s)
+        if not a2s:
+            continue
+        factor = layer_scaling(ring, n, s, a2s)
+        target = factor.inverse().apply(invert_unit(factor.jacobian().det) * target)
+        acc = acc.compose(factor)
+    return layers, acc
 
 
 def jacobian_preimage(u: GrassmannElement, *, exact: bool = True) -> PreimageResult:
@@ -700,17 +693,7 @@ def jacobian_preimage(u: GrassmannElement, *, exact: bool = True) -> PreimageRes
         raise ValueError("target must be even with constant term 1")
     if u.constant_term() != ring.one:
         raise ValueError("target must have constant term 1")
-    acc = identity_endo(ring, n)
-    residual_target = u
-    for s in range(1, (n - 1) // 2 + 1):
-        a2s = component(residual_target - one, 2 * s)
-        if not a2s:
-            continue
-        factor = layer_scaling(ring, n, s, a2s)
-        det = factor.jacobian().det
-        adjusted = invert_unit(det) * residual_target
-        residual_target = factor.inverse().apply(adjusted)
-        acc = acc.compose(factor)
+    _, acc = _peel_layers(u)
     achieved = acc.jacobian().det
     if n % 2:
         if achieved != u:
@@ -790,6 +773,7 @@ def enumerate_generators(group: GroupId, n: int) -> list:
     n*C(n, 3) in all.  The triples avoiding i alone generate a proper subgroup;
     their brackets never reach the degree-3 directions x_i -> x_i + x_i x_k x_l.
     """
+    check_n(n)
     kind = group.kind
     if kind == "gamma":
         if n < 2:

@@ -15,11 +15,12 @@ from itertools import combinations
 from .algebra import (
     GrassmannElement,
     indices_mask,
+    lincomb,
     mask_str,
     restrict,
 )
 from .rings import Ring
-from .skewcalc import apply_partial_word, coordinate_projection, phi_projection, skew_partial
+from .skewcalc import apply_partial_word, coordinate_projection, skew_partial
 
 
 class SolvabilityError(ValueError):
@@ -108,16 +109,17 @@ def solve_xi_system(u: list[GrassmannElement]) -> SolutionFamily:
 
 def xi_particular(u: list[GrassmannElement]) -> GrassmannElement:
     """The particular solution of x_i * a = u_i, without the solvability
-    checks of ``solve_xi_system``: d_1(u_1) plus, for i = 1..n-1,
-    x_1...x_i times the composite derivative over x_1..x_i of d_{i+1}(u_{i+1}).
-    """
+    checks of ``solve_xi_system``: the sum over i of the part of d_i(u_i)
+    whose monomials contain x_1..x_{i-1}.  That part is x_1...x_{i-1} times
+    the composite derivative over x_1..x_{i-1} of d_i(u_i); the prefix leads
+    every monomial it keeps, so no sign arises."""
     ring, n = u[0].ring, len(u)
-    acc = skew_partial(1, u[0])
-    for i in range(1, n):
-        prefix = (1 << i) - 1
-        body = apply_partial_word(skew_partial(i + 1, u[i]), prefix)
-        acc = acc + GrassmannElement.monomial(ring, n, prefix) * body
-    return acc
+    parts = []
+    for i in range(1, n + 1):
+        d = skew_partial(i, u[i - 1])
+        prefix = (1 << (i - 1)) - 1
+        parts.append(restrict(d, {m: c for m, c in d.num.items() if m & prefix == prefix}))
+    return lincomb(ring, n, ((ring.one, part) for part in parts))
 
 
 # -- the system d_i(a) = u_i --------------------------------------------------
@@ -126,7 +128,9 @@ def solve_partial_system(u: list[GrassmannElement]) -> SolutionFamily:
     """Solve skew_partial(i, a) = u_i for all i simultaneously.
 
     Solvable iff every u_i avoids x_i and the derivatives skew-anticommute:
-    d_i(u_j) = -d_j(u_i); the family is particular + K * 1.
+    d_i(u_j) = -d_j(u_i); the family is particular + K * 1.  The particular
+    solution is the sum over i of x_i times the part of u_i free of
+    x_1..x_i: a mask filter, since x_i leads every monomial it multiplies.
     """
     n = len(u)
     ring = u[0].ring
@@ -141,15 +145,14 @@ def solve_partial_system(u: list[GrassmannElement]) -> SolutionFamily:
                 raise SolvabilityError(
                     "skew-symmetry", (i, j),
                     f"d{i}(u_{j}) != -d{j}(u_{i})")
-    acc = GrassmannElement.zero(ring, n)
-    for mask in range(1, 1 << n):
-        first = (mask & -mask).bit_length()
-        rest = mask ^ (1 << (first - 1))
-        coeff = phi_projection(apply_partial_word(u[first - 1], rest))
-        if coeff != 0:
-            acc = acc + GrassmannElement.monomial(ring, n, mask, coeff)
-    one = GrassmannElement.one(ring, n)
-    return SolutionFamily(particular=acc, free_direction=one)
+    parts = []
+    for i in range(1, n + 1):
+        low, bit = (1 << i) - 1, 1 << (i - 1)
+        e = u[i - 1]
+        parts.append(restrict(e, {m | bit: c for m, c in e.num.items() if not m & low}))
+    particular = lincomb(ring, n, ((ring.one, part) for part in parts))
+    return SolutionFamily(particular=particular,
+                          free_direction=GrassmannElement.one(ring, n))
 
 
 # -- canonical split of a homogeneous even layer ------------------------------

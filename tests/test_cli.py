@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -253,6 +254,23 @@ class TestRoundTrips:
             "x1 -> x1 + x2x3x4; x2 -> x2 + x3x4x5; x3 -> x3; x4 -> x4; x5 -> x5")
         from grassmann.endo import identity_endo
         assert orig.compose(sigma) == identity_endo(QQ, 5)
+
+
+class TestGeneratorCount:
+    @pytest.mark.parametrize("argv", [
+        ("dims", "--n", "200", "--group", "sigma"),
+        ("dims", "--n", "-3", "--group", "sigma"),
+        ("dims", "--n", "17", "--group", "gamma-asc:4"),
+        ("generators", "--n", "-3", "--group", "phi"),
+        ("generators", "--n", "0", "--group", "sigma"),
+        ("generators", "--n", "200", "--group", "gamma")])
+    def test_refused_fast(self, capsys, argv):
+        # the coordinate count and the generator lists grow exponentially in n
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: generator count must be in 1..16, got {argv[2]}"
 
 
 class TestFieldValidation:

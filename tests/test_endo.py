@@ -624,12 +624,6 @@ class TestIsAutomorphism:
         assert is_automorphism(sigma)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_random_sigma_word_is_identity_without_generators(ring, rng, n):
-    # no triple shift and no pair scaling exists for n <= 3
-    assert random_sigma_word(rng, ring, n) == identity_endo(ring, n)
-
-
 class TestChainRules:
     @pytest.mark.parametrize("n", [4, 5])
     def test_matrix_and_determinant(self, ring, n, battery):

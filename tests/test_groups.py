@@ -461,6 +461,21 @@ class TestLayerWord:
         for n in (5, 6):
             battery(check_layers_roundtrip, GF(7), n, 50)
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_matches_per_stage_peeling(self, ring, rng, n):
+        # reference: eliminate the Jacobian of every residual map again
+        one = GrassmannElement.one(ring, n)
+        for _ in range(5):
+            sigma = random_gamma(rng, ring, n)
+            layers, residual = {}, sigma
+            for s in range(1, (n - 1) // 2 + 1):
+                a2s = layers[s] = component(residual.jacobian().det - one, 2 * s)
+                if a2s:
+                    residual = layer_scaling(ring, n, s, a2s).inverse().compose(residual)
+            word = decompose_layers(sigma)
+            assert word.layers == layers
+            assert word.tail == residual
+
     def test_ascent_members_skip_low_layers(self, rng):
         ring = GF(7)
         n = 6

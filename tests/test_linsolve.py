@@ -10,9 +10,10 @@ from grassmann.linsolve import (
     min_avoidance,
     solve_partial_system,
     solve_xi_system,
+    xi_particular,
 )
 from grassmann.sampling import random_element
-from grassmann.skewcalc import skew_partial
+from grassmann.skewcalc import apply_partial_word, phi_projection, skew_partial
 from grassmann.verify import check_partial_solver, check_xi_solver
 
 
@@ -88,6 +89,19 @@ class TestXiSystem:
         # solutions along the family, the generator, a rejected perturbation
         battery(check_xi_solver, ring, 6, 100)
 
+    def test_particular_matches_derivative_words(self, ring, rng):
+        # reference: d_1(u_1) plus x_1...x_i times the composite derivative
+        # over x_1..x_i of d_{i+1}(u_{i+1}); any u, solvable or not
+        n = 6
+        for _ in range(30):
+            u = [random_element(rng, ring, n, terms=8) for _ in range(n)]
+            ref = skew_partial(1, u[0])
+            for i in range(1, n):
+                prefix = (1 << i) - 1
+                ref = ref + GrassmannElement.monomial(ring, n, prefix) * apply_partial_word(
+                    skew_partial(i + 1, u[i]), prefix)
+            assert xi_particular(u) == ref
+
 
 class TestPartialSystem:
     def test_pair_example(self, ring):
@@ -125,6 +139,21 @@ class TestPartialSystem:
 
     def test_round_trip_random(self, ring, battery):
         battery(check_partial_solver, ring, 6, 100)
+
+    def test_particular_matches_derivative_words(self, ring, rng):
+        # reference: over every nonzero mask with lowest index f, the
+        # coefficient is the constant term of d_(mask - f)(u_f)
+        n = 6
+        for _ in range(30):
+            a = random_element(rng, ring, n, terms=8)
+            u = [skew_partial(i, a) for i in range(1, n + 1)]
+            ref = GrassmannElement.zero(ring, n)
+            for mask in range(1, 1 << n):
+                first = (mask & -mask).bit_length()
+                rest = mask ^ (1 << (first - 1))
+                coeff = phi_projection(apply_partial_word(u[first - 1], rest))
+                ref = ref + GrassmannElement.monomial(ring, n, mask, coeff)
+            assert solve_partial_system(u).particular == ref
 
 
 class TestLayerSplit:
