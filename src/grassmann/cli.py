@@ -9,6 +9,7 @@ single ``--seed`` flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -340,9 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as err:

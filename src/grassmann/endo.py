@@ -285,14 +285,24 @@ class Endomorphism:
         return hit
 
     def _inverse_iteration(self) -> "Endomorphism":
-        """Peel off the linear part, then resubstitute the tail to a fixpoint."""
+        """Peel off the linear part, then resubstitute the tail to a fixpoint.
+
+        A map whose linear part is the identity, such as every layer
+        scaling, is its own tail: no matrix inverse and no compositions.
+        """
         ring, n = self.ring, self.n
-        try:
-            a_inv = mat_inv(ring, self.linear_part())
-        except NotAUnitError:
-            raise NotInvertibleError("linear part is singular") from None
-        lin_inv = linear_endo(ring, a_inv)
-        tau = self.compose(lin_inv)  # tau(x_i) = x_i + higher terms
+        a_mat = self.linear_part()
+        if all(c == (1 if i == j else 0) for i, row in enumerate(a_mat)
+               for j, c in enumerate(row)):
+            lin_inv = None
+            tau = self
+        else:
+            try:
+                a_inv = mat_inv(ring, a_mat)
+            except NotAUnitError:
+                raise NotInvertibleError("linear part is singular") from None
+            lin_inv = linear_endo(ring, a_inv)
+            tau = self.compose(lin_inv)  # tau(x_i) = x_i + higher terms
         current = identity_endo(ring, n)
         shifts = [x - im for x, im in zip(current.images, tau.images)]
         for _ in range(n + 1):
@@ -300,7 +310,7 @@ class Endomorphism:
             if nxt == current:
                 break
             current = nxt
-        return lin_inv.compose(current)
+        return current if lin_inv is None else lin_inv.compose(current)
 
     def _inverse_formula(self) -> "Endomorphism":
         """Closed-form inverse from composite dual derivatives.
@@ -338,8 +348,12 @@ class Endomorphism:
                     continue
                 cap = n - 1 - top
                 base = _truncate(base, cap + 1)
+                present = 0  # the generators occurring in base
+                for m in base.num:
+                    present |= m
                 d = dot(ring, n, ((entry, skew_partial(k, base))
-                                  for k, entry in rows[top]), cap)
+                                  for k, entry in rows[top]
+                                  if present >> (k - 1) & 1), cap)
                 if d:
                     duals[mask] = d
                     coeff = d.constant_term()
@@ -394,7 +408,9 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
        scalar row-operation transform t, as int rows over row denominators,
        and the column order ``cols``; the rows become ``t * matrix`` with
        columns in that order, each entry one ``lincomb`` of the ints over
-       the row denominator.  For a linear part of rank r, the r pivots
+       the row denominator; a row of t with one nonzero entry, equal to
+       its denominator, takes the entries of that row of the matrix as
+       they are.  For a linear part of rank r, the r pivots
        become 1 + nilpotent and every other entry of their columns becomes
        nilpotent, which keeps the products of the second pass sparse.
     2. Elimination of those r columns, dividing by the pivots with
@@ -420,8 +436,15 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
         raise NotInvertibleError("linear part is singular")
     t = [row[size:] for row in j0]
     columns = [[row[c] for row in matrix] for c in cols]
-    rows = [[lincomb(ring, n, zip(t_row, col), d) for col in columns]
-            for t_row, d in zip(t, dens)]
+    rows = []
+    for t_row, d in zip(t, dens):
+        support = [r for r, x in enumerate(t_row) if x]
+        if len(support) == 1 and t_row[support[0]] == d:
+            # d * e_r over d: the row is row r of the matrix
+            src = matrix[support[0]]
+            rows.append([src[c] for c in cols])
+        else:
+            rows.append([lincomb(ring, n, zip(t_row, col), d) for col in columns])
     if inverse:
         for row, t_row, d in zip(rows, t, dens):
             row.extend(from_num(ring, n, {0: x}, d) for x in t_row)

@@ -17,6 +17,7 @@ from .algebra import (
     GrassmannElement,
     check_n,
     component,
+    dot,
     even_part,
     element_to_json,
     indices_mask,
@@ -477,8 +478,29 @@ def rho_product(ring: Ring, n: int, s: int, lambdas: dict,
 
 def layer_scaling(ring: Ring, n: int, s: int, a: GrassmannElement) -> Endomorphism:
     """The scaling map built from the canonical split of a degree-2s element."""
-    parts = layer_split(a, s).parts
+    return _split_scaling(ring, n, layer_split(a, s).parts)
+
+
+def _split_scaling(ring: Ring, n: int, parts: dict) -> Endomorphism:
+    """x_i -> x_i(1 + parts[i]): the layer scaling of a computed split."""
     return scaling_endo(ring, n, [parts.get(i) for i in range(1, n + 1)])
+
+
+def _layer_jacobian(a: GrassmannElement, parts: dict) -> GrassmannElement:
+    """J(f) for f = ``_split_scaling(parts)``, parts the split of a, in
+    the closed form derived in ``_peel_layers``:
+    1 + a + (a - a_n) a_n - sum over i < n of (x_i d_n a_i)(x_n d_i a_n)."""
+    ring, n = a.ring, a.n
+    start = GrassmannElement.one(ring, n) + a
+    a_n = parts[n]
+    if not a_n:
+        return start
+    x_n = _gen(ring, n, n)
+    pairs = [(a - a_n, a_n)]
+    for i, a_i in parts.items():
+        if i != n and a_i and (d_i := skew_partial(i, a_n)):
+            pairs.append((-(_gen(ring, n, i) * skew_partial(n, a_i)), x_n * d_i))
+    return dot(ring, n, pairs, n, start)
 
 
 _avoid_cache: dict = {}
@@ -661,7 +683,25 @@ def _peel_layers(u: GrassmannElement):
     """``(layers, acc)`` read off a Jacobian value u: layers[s] is the
     degree-2s part of the moving target, zero or not, and acc the product of
     the layer factors, lowest degree leftmost.  After a factor f the target
-    moves on by the chain rule J(f^-1 . sigma) = f^-1(J(f)^-1 * J(sigma))."""
+    moves on by the chain rule J(f^-1 . sigma) = f^-1(J(f)^-1 * J(sigma)).
+
+    J(f) has a closed form (``_layer_jacobian``).  The factor is
+    f: x_i -> x_i u_i with u_i = 1 + a_i, a_i the part of label i of the
+    layer a: a_i avoids x_i and, for i < n, each of its monomials contains
+    x_{i+1}..x_n.  The Jacobian matrix is diag(u) - N with
+    N[i][j] = x_i d_j a_i: N[i][i] = 0, N[i][j] contains x_i, and for i < n
+    and j != n it contains x_n.  In the permutation expansion of the
+    determinant, a cycle that avoids n multiplies two entries holding x_n,
+    and so does a cycle through n of length three or more (row n, and a row
+    i < n sent to some j != n).  So only the identity and the
+    transpositions (i n) survive:
+    J(f) = prod_k u_k - sum over i < n of
+    (x_i d_n a_i)(x_n d_i a_n) prod over k not in {i, n} of u_k.
+    Every a_k with k < n contains x_n, so it kills the other such a_j and
+    every transposition term: prod_k u_k = (1 + a - a_n)(1 + a_n), and each
+    cofactor product acts as 1.  That is O(n) element products in place of
+    an O(n^3) elimination.
+    """
     ring, n = u.ring, u.n
     one = GrassmannElement.one(ring, n)
     acc = identity_endo(ring, n)
@@ -671,8 +711,10 @@ def _peel_layers(u: GrassmannElement):
         a2s = layers[s] = component(target - one, 2 * s)
         if not a2s:
             continue
-        factor = layer_scaling(ring, n, s, a2s)
-        target = factor.inverse().apply(invert_unit(factor.jacobian().det) * target)
+        parts = layer_split(a2s, s).parts
+        factor = _split_scaling(ring, n, parts)
+        jac = _layer_jacobian(a2s, parts)
+        target = factor.inverse().apply(invert_unit(jac) * target)
         acc = acc.compose(factor)
     return layers, acc
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     GrassmannElement,
+    check_n,
     component,
     dot,
     even_part,
@@ -941,6 +942,7 @@ def run_suite(suite: str, *, n: int = 5, ring: Ring = None, samples: int = 25,
         need = SUITE_MIN_N.get(suite, 1)
     if n < need:
         raise SuiteSizeError(f"suite {suite!r} needs n >= {need}, got n={n}")
+    check_n(n)  # the dims and n3 suites never read n, so refuse it here
     small = max(4, samples // 5)
     results = []
 

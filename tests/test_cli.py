@@ -263,14 +263,18 @@ class TestGeneratorCount:
         ("dims", "--n", "17", "--group", "gamma-asc:4"),
         ("generators", "--n", "-3", "--group", "phi"),
         ("generators", "--n", "0", "--group", "sigma"),
-        ("generators", "--n", "200", "--group", "gamma")])
+        ("generators", "--n", "200", "--group", "gamma"),
+        ("verify", "--suite", "dims", "--n", "200"),
+        ("verify", "--suite", "n3", "--n", "17")])
     def test_refused_fast(self, capsys, argv):
-        # the coordinate count and the generator lists grow exponentially in n
+        # the coordinate count and the generator lists grow exponentially in
+        # n, and the dims and n3 suites ignore it
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err == f"error: generator count must be in 1..16, got {argv[2]}"
+        n = argv[argv.index("--n") + 1]
+        assert err == f"error: generator count must be in 1..16, got {n}"
 
 
 class TestFieldValidation:
@@ -301,6 +305,54 @@ class TestFieldValidation:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout.strip() == "-x1x2"
+
+
+class TestParserReuse:
+    ENDO = "x1 -> x1 + x2x3x4; x2 -> x2 + x3x4x5; x3 -> x3; x4 -> x4; x5 -> x5"
+    # options given once and then left out, so a default that stuck to the
+    # shared parser would show
+    SEQUENCE = [
+        ("mul", "--n", "4", "x2", "x1"),
+        ("invert", "--n", "5", "--strategy", "formula", "--format", "json",
+         "--endo", ENDO),
+        ("invert", "--n", "5", "--endo", ENDO),
+        ("preimage", "--n", "4", "--inexact", "1 + x1x2x3x4"),
+        ("preimage", "--n", "4", "1 + x1x2x3x4"),
+        ("verify", "--suite", "dims", "--n", "200"),
+        ("verify", "--suite", "n3", "--n", "4", "--field", "rational"),
+        ("mul", "--n", "3", "x1", "x2"),
+        ("dims", "--n", "5", "--group", "sigma"),
+    ]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        from grassmann import cli
+        built = []
+
+        def counting():
+            built.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for argv in self.SEQUENCE[:3]:
+                run_cli(capsys, *argv)
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_repeated_main_matches_separate_processes(self, capsys):
+        src = os.path.dirname(os.path.dirname(grassmann.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for argv in self.SEQUENCE:
+            in_process = run_cli(capsys, *argv)
+            proc = subprocess.run(
+                [sys.executable, "-m", "grassmann", *argv],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": path})
+            assert in_process == (proc.returncode, proc.stdout.strip(),
+                                  proc.stderr.strip()), argv
 
 
 class TestFileInputs:

@@ -471,6 +471,74 @@ class TestEliminationKernel:
                                for row in mat_inv(ring, a)]
         assert singular
 
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_identity_constant_part_reuses_entries(self, ring, n, monkeypatch):
+        # J0 = I: every row of the pass-1 transform is a unit vector over
+        # denominator 1, so pass 1 builds no element
+        def refuse(*args, **kwargs):
+            raise AssertionError("pass 1 rebuilt an entry of an identity row")
+
+        rng = spawn(41, "kernel-identity", n, str(ring))
+        one = GrassmannElement.one(ring, n)
+        zero = GrassmannElement.zero(ring, n)
+        eye = [[ring.one if i == j else ring.zero for j in range(n)]
+               for i in range(n)]
+        matrices = [[[random_element(rng, ring, n, degrees=range(2, n + 1, 2),
+                                     terms=3) + (one if i == j else zero)
+                      for j in range(n)] for i in range(n)]]
+        if n >= 3:  # shifts need degree >= 3
+            matrices += [random_sigma_word(rng, ring, n, length=3)._skew_matrix()
+                         for _ in range(2)]
+        for matrix in matrices:
+            assert [[e.constant_term() for e in row] for row in matrix] == eye
+            with monkeypatch.context() as m:
+                m.setattr(endo_module, "lincomb", refuse)
+                det, _ = _eliminate(ring, n, matrix)
+                inv_det, inv = _eliminate(ring, n, matrix, inverse=True)
+            assert det == inv_det == _det_central(ring, n, matrix)
+            assert [[e.constant_term() for e in row] for row in inv] == mat_inv(ring, eye)
+            for i in range(n):
+                for j in range(n):
+                    acc = zero
+                    for t in range(n):
+                        acc = acc + matrix[i][t] * inv[t][j]
+                    assert acc == (one if i == j else zero)
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_mixed_unit_and_general_transform_rows(self, ring, monkeypatch):
+        # constant part I with some rows replaced by general scalar rows:
+        # both branches of pass 1 run in one elimination
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lincomb(*args, **kwargs)
+
+        monkeypatch.setattr(endo_module, "lincomb", counting)
+        rng = spawn(41, "kernel-mixed", str(ring))
+        n = 5
+        checked = 0
+        for _ in range(12):
+            matrix = []
+            for i in range(n):
+                row = [random_element(rng, ring, n, degrees=range(2, n + 1, 2),
+                                      terms=2) for _ in range(n)]
+                consts = ([ring.random(rng) for _ in range(n)] if rng.random() < 0.4
+                          else [ring.one if j == i else ring.zero for j in range(n)])
+                matrix.append([e + GrassmannElement.scalar(ring, n, c)
+                               for e, c in zip(row, consts)])
+            consts = [[e.constant_term() for e in row] for row in matrix]
+            if mat_det(ring, consts) == ring.zero:
+                continue
+            calls.clear()
+            det = _eliminate(ring, n, matrix)[0]
+            checked += 0 < len(calls) < n * n  # some rows reused, some built
+            inv_det, inv = _eliminate(ring, n, matrix, inverse=True)
+            assert det == inv_det == _det_central(ring, n, matrix)
+            assert [[e.constant_term() for e in row] for row in inv] == mat_inv(ring, consts)
+        assert checked >= 6
+
     def test_singular_linear_part_raises(self, ring):
         sigma = Endomorphism([gen(ring, 2, 2), gen(ring, 2, 2)], check=False)
         assert sigma.jacobian().det == GrassmannElement.zero(ring, 2)
@@ -519,7 +587,65 @@ def untruncated_formula_inverse(sigma):
     return Endomorphism(images, check=False)
 
 
+def composed_iteration_inverse(sigma):
+    """Reference iteration inverse that always peels the linear part: the
+    scalar inverse, its substitution and both compositions."""
+    ring, n = sigma.ring, sigma.n
+    lin_inv = linear_endo(ring, mat_inv(ring, sigma.linear_part()))
+    tau = sigma.compose(lin_inv)
+    current = identity_endo(ring, n)
+    shifts = [x - im for x, im in zip(current.images, tau.images)]
+    for _ in range(n + 1):
+        nxt = shift_endo(ring, n, [current.apply(b) for b in shifts])
+        if nxt == current:
+            break
+        current = nxt
+    return lin_inv.compose(current)
+
+
 class TestInverse:
+    @pytest.mark.parametrize("ring", [QQ, GF(3), GF(7)], ids=str)
+    def test_identity_linear_part_skips_the_linear_peel(self, ring, monkeypatch):
+        # shifts, scalings and their products have linear part I
+        def refuse(*args):
+            raise AssertionError("identity linear part was inverted")
+
+        rng = spawn(43, "identity-linear", str(ring))
+        for n in range(3, 8):
+            maps = [random_gamma(rng, ring, n),
+                    random_sigma_word(rng, ring, n),
+                    scaling_endo(ring, n, [random_element(
+                        rng, ring, n, degrees=range(2, n + 1, 2), terms=2)
+                        for _ in range(n)])]
+            maps.append(maps[0].compose(maps[2]))
+            for sigma in maps:
+                with monkeypatch.context() as m:
+                    m.setattr(endo_module, "mat_inv", refuse)
+                    m.setattr(endo_module, "linear_endo", refuse)
+                    got = sigma._inverse_iteration()
+                assert got == sigma._inverse_formula()
+                assert got == composed_iteration_inverse(sigma)
+                assert sigma.compose(got) == identity_endo(ring, n)
+
+    def test_skew_partials_only_on_present_generators(self, ring, monkeypatch):
+        # the formula tree differentiates a node only along generators that
+        # occur in it, so no derivative it forms is zero
+        from grassmann.skewcalc import skew_partial
+
+        def nonzero(i, e):
+            d = skew_partial(i, e)
+            assert d, "formula inverse formed a zero skew partial"
+            return d
+
+        rng = spawn(43, "formula-present", str(ring))
+        for n in range(2, 7):
+            sigma = random_gamma_gl(rng, ring, n, terms=3)
+            want = untruncated_formula_inverse(sigma)
+            with monkeypatch.context() as m:
+                m.setattr(endo_module, "skew_partial", nonzero)
+                got = sigma._inverse_formula()
+            assert got == want
+
     def test_identity(self, ring):
         ident = identity_endo(ring, 4)
         assert ident.inverse("iteration") == ident

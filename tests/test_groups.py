@@ -12,6 +12,7 @@ from grassmann.endo import (
     NotInvertibleError,
     coordinate_shift,
     identity_endo,
+    _det_central,
     inner,
     linear_endo,
     parse_endomorphism,
@@ -26,6 +27,7 @@ from grassmann.groups import (
     SIGMA_DOUBLE_PRIME,
     SIGMA_PRIME,
     U,
+    _layer_jacobian,
     decompose_gamma,
     decompose_layers,
     decompose_omega_gamma_linear,
@@ -39,6 +41,7 @@ from grassmann.groups import (
     parse_group_id,
     rho_endo,
 )
+from grassmann.linsolve import layer_split
 from grassmann.rings import GF, QQ
 from grassmann.sampling import (
     random_even,
@@ -52,6 +55,7 @@ from grassmann.sampling import (
     random_shift_word,
     random_sigma_word,
     random_unipotent,
+    spawn,
 )
 from grassmann.verify import (
     check_ascent_chain,
@@ -485,6 +489,51 @@ class TestLayerWord:
             assert member(sigma, GroupId("gamma_asc", 4))
             word = decompose_layers(sigma)
             assert not word.layers.get(1)
+
+
+def layer_cases(rng, ring, n, s):
+    """Degree-2s layers: one term, every monomial, part n zero (every
+    monomial contains x_n), only part n (no monomial contains x_n), and
+    random ones of 1 to 40 terms."""
+    deg = 2 * s
+    masks = [m for m in range(1 << n) if m.bit_count() == deg]
+    top = 1 << (n - 1)
+
+    def layer(support):
+        out = GrassmannElement.zero(ring, n)
+        for m in support:
+            out = out + GrassmannElement.monomial(ring, n, m, rng.randrange(1, 6))
+        return out
+
+    yield layer([rng.choice(masks)])
+    yield layer(masks)
+    yield layer([m for m in masks if m & top])
+    yield layer([m for m in masks if not m & top])
+    for terms in (1, 3, 10, 40):
+        yield layer(rng.sample(masks, min(terms, len(masks))))
+
+
+class TestLayerJacobian:
+    """The closed-form Jacobian of a layer scaling against the generic
+    elimination and the cofactor expansion of its skew matrix."""
+
+    @pytest.mark.parametrize("ring", [QQ, GF(7), GF(3)], ids=str)
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_closed_form_matches_elimination_and_cofactors(self, ring, n):
+        rng = spawn(47, "layer-jacobian", n, str(ring))
+        one = GrassmannElement.one(ring, n)
+        transpositions = 0
+        for s in range(1, (n - 1) // 2 + 1):
+            for a in layer_cases(rng, ring, n, s):
+                parts = layer_split(a, s).parts
+                got = _layer_jacobian(a, parts)
+                phi = layer_scaling(ring, n, s, a)
+                assert got == phi.jacobian().det
+                assert got == _det_central(ring, n, phi._skew_matrix())
+                # prod_k u_k alone, without the (i n) transposition terms
+                a_n = parts[n]
+                transpositions += got != one + a + (a - a_n) * a_n
+        assert transpositions
 
 
 class TestJacobianPreimage:
