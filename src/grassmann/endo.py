@@ -44,11 +44,11 @@ class NotInvertibleError(ValueError):
 class Endomorphism:
     """A K-algebra endomorphism, stored as the ordered list of generator images.
 
-    Immutable; caches mask products, the Jacobian data and inverses.
+    Immutable; caches the linear part, the Jacobian data and inverses.  The
+    products of images that ``apply_all`` needs live only for one call.
     """
 
-    __slots__ = ("ring", "n", "images", "_prods", "_jac", "_dual", "_inverses",
-                 "_linear")
+    __slots__ = ("ring", "n", "images", "_jac", "_dual", "_inverses", "_linear")
 
     def __init__(self, images, *, check: bool = True):
         images = tuple(images)
@@ -64,7 +64,6 @@ class Endomorphism:
             if not same_algebra(im, first):
                 raise DimensionMismatchError("images live in different algebras")
         self.images = images
-        self._prods = {0: GrassmannElement.one(self.ring, self.n)}
         self._jac = None
         self._dual = None
         self._inverses = {}
@@ -96,80 +95,59 @@ class Endomorphism:
 
     # -- application and composition ---------------------------------------
 
-    def _product(self, mask: int) -> GrassmannElement:
-        prods = self._prods
-        hit = prods.get(mask)
-        if hit is not None:
-            return hit
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        value = self._product(rest) * self.images[top]
-        prods[mask] = value
-        return value
+    def apply_all(self, elements) -> list:
+        """[sigma(e) for e in elements], sigma(e) = sum of c_m sigma(x^m).
 
-    def _apply_memo(self, e: GrassmannElement) -> GrassmannElement:
-        return lincomb(self.ring, self.n,
-                       ((c, self._product(mask)) for mask, c in e.num.items()),
-                       e.den)
+        The products sigma(x^m) go into one ``_Products`` table, shared by
+        the elements and dropped on return.  An element of at most 2^s terms,
+        s = n - floor((n+1)/3), takes the memo walk: one product per term.  A
+        larger one splits m into its low s bits l and high bits h: x^m =
+        x^l x^h without a sign, so sigma(e) = sum_h L_h sigma(x^h) with
+        L_h = sum_l c_{l|h} sigma(x^l), one ``lincomb`` per high group and one
+        ``dot`` over them, at most 2^s + 2^(n-s) tabled products plus one per
+        high group.  Terms with no high bits or a tabled product, and high
+        groups of one term, are summed directly.
+        """
+        ring, n = self.ring, self.n
+        s = n - (n + 1) // 3
+        table = _Products(self)
+        out = []
+        for e in elements:
+            if not same_algebra(e, self):
+                raise DimensionMismatchError(
+                    "element/endomorphism dimension mismatch")
+            high = 0 if len(e.num) <= 1 << s else -1 << s
+            direct, groups = [], {}
+            for mask, c in e.num.items():
+                h = mask & high
+                if not h or mask in table:
+                    direct.append((c, mask))
+                else:
+                    groups.setdefault(h, []).append((c, mask ^ h))
+            pairs = []
+            for h, group in groups.items():
+                if len(group) > 1:
+                    pairs.append((h, group))
+                else:
+                    direct.append((group[0][0], group[0][1] | h))
+            value = lincomb(ring, n, ((c, table[m]) for c, m in direct), e.den)
+            if pairs:
+                value = dot(ring, n, (
+                    (lincomb(ring, n, ((c, table[l]) for c, l in group), e.den),
+                     table[h]) for h, group in pairs), n, value)
+            out.append(value)
+        return out
 
     def apply(self, e: GrassmannElement) -> GrassmannElement:
-        """sigma(e) = sum of c_m sigma(x^m), by split-block evaluation.
-
-        The generators split into a low block of s = n - floor((n+1)/3) and a
-        high block of the rest.  With l the low and h the high bits of m,
-        x^m = x^l x^h without a sign, so sigma(e) = sum_h L_h sigma(x^h) with
-        L_h = sum_l c_{l|h} sigma(x^l): one ``lincomb`` per high group and one
-        ``dot`` over the groups.  That takes at most 2^s + 2^(n-s) memoised
-        products plus one product per high group, where the memo walk
-        (``_apply_memo``) memoises one product per monomial, up to 2^n.  An
-        argument of at most 2^s terms takes the memo walk, and the split
-        sums directly every term whose product is already memoised or has no
-        high bits, and every high group of one term.
-        """
-        if not same_algebra(e, self):
-            raise DimensionMismatchError("element/endomorphism dimension mismatch")
-        n = self.n
-        s = n - (n + 1) // 3
-        if len(e.num) <= 1 << s:
-            return self._apply_memo(e)
-        prods = self._prods
-        low = (1 << s) - 1
-        direct = []
-        groups: dict[int, list] = {}
-        for mask, c in e.num.items():
-            h = mask & ~low
-            if not h or mask in prods:
-                direct.append((c, mask))
-            else:
-                groups.setdefault(h, []).append((c, mask ^ h))
-        pairs = []
-        for h, group in groups.items():
-            if len(group) == 1:
-                c, l = group[0]
-                direct.append((c, l | h))
-            else:
-                pairs.append((h, group))
-        product = self._product
-        ring, den = self.ring, e.den
-        start = lincomb(ring, n, ((c, product(m)) for c, m in direct), den)
-        return dot(ring, n,
-                   ((lincomb(ring, n, ((c, product(l)) for c, l in group), den),
-                     product(h)) for h, group in pairs),
-                   n, start)
+        """sigma(e): ``apply_all`` of the one element."""
+        return self.apply_all((e,))[0]
 
     __call__ = apply
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
-        """self after other: (self.compose(other))(x_i) = self(other(x_i)).
-
-        Every image takes the memo walk, never the split of ``apply``: the
-        images' masks overlap, and sharing memoised products across the n
-        images costs less than splitting each one.
-        """
-        if not same_algebra(other, self):
-            raise DimensionMismatchError("endomorphism dimension mismatch")
-        return Endomorphism([self._apply_memo(im) for im in other.images],
-                            check=False)
+        """self after other: (self.compose(other))(x_i) = self(other(x_i)),
+        one ``apply_all`` of other's images."""
+        return Endomorphism(self.apply_all(other.images), check=False)
 
     def __mul__(self, other):
         if not isinstance(other, Endomorphism):
@@ -306,7 +284,7 @@ class Endomorphism:
         current = identity_endo(ring, n)
         shifts = [x - im for x, im in zip(current.images, tau.images)]
         for _ in range(n + 1):
-            nxt = shift_endo(ring, n, [current.apply(b) for b in shifts])
+            nxt = shift_endo(ring, n, current.apply_all(shifts))
             if nxt == current:
                 break
             current = nxt
@@ -361,6 +339,25 @@ class Endomorphism:
                         terms[mask] = coeff
             images.append(GrassmannElement(ring, n, terms))
         return Endomorphism(images, check=False)
+
+
+class _Products(dict):
+    """sigma(x^mask) by mask for one ``apply_all`` call, each made on first
+    lookup: the image itself for one generator, else the product for the
+    mask without its top generator times that generator's image."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, sigma: Endomorphism):
+        super().__init__({0: GrassmannElement.one(sigma.ring, sigma.n)})
+        self.images = sigma.images
+
+    def __missing__(self, mask: int) -> GrassmannElement:
+        top = mask.bit_length() - 1
+        rest = mask ^ 1 << top
+        value = self[mask] = (self[rest] * self.images[top] if rest
+                              else self.images[top])
+        return value
 
 
 def _truncate(e: GrassmannElement, cap: int) -> GrassmannElement:

@@ -529,7 +529,7 @@ def decompose_omega_gamma_linear(sigma: Endomorphism) -> OmegaGammaLinear:
          for i, row in enumerate(a_inv)]
     gamma = shift_endo(ring, n, b)
     gamma_inv = gamma.inverse()
-    evens = [gamma_inv.apply(even_part(im)) for im in sigma.images]
+    evens = gamma_inv.apply_all([even_part(im) for im in sigma.images])
     acc = xi_particular([lincomb(ring, n, zip(row, evens)) for row in a_inv])
     half = ring.invert(ring.from_int(2))
     a_raw = gamma.apply(acc).scale(-half)

@@ -305,9 +305,9 @@ def check_mul1(ring: Ring, n: int, a, b_images, mat_a, a2, b2_images, mat_a2) ->
     lin_a = linear_endo(ring, mat_a)
     new_a = a + gamma_b.compose(lin_a).apply(a2)
     a_inv = mat_inv(ring, mat_a)
-    moved = [lin_a.apply(img) for img in b2_images]
+    moved = lin_a.apply_all(b2_images)
     transported = [lincomb(ring, n, zip(row, moved)) for row in a_inv]
-    new_b_images = [gamma_b.apply(t) for t in transported]
+    new_b_images = gamma_b.apply_all(transported)
     new_mat = mat_mul(ring, mat_a2, mat_a)
     rhs = _full_product(ring, n, new_a, new_b_images, new_mat)
     return lhs == rhs
@@ -322,7 +322,7 @@ def check_invabA(ring: Ring, n: int, a, b_images, mat_a) -> bool:
     a_inv_mat = mat_inv(ring, mat_a)
     lin_inv = linear_endo(ring, a_inv_mat)
     new_a = -lin_inv.compose(gamma_b_inv).apply(a)
-    moved = [lin_inv.apply(img) for img in b_prime]
+    moved = lin_inv.apply_all(b_prime)
     new_b_images = [lincomb(ring, n, zip(row, moved)) for row in mat_a]
     rhs = _full_product(ring, n, new_a, new_b_images, a_inv_mat)
     return sigma.inverse() == rhs

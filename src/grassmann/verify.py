@@ -443,8 +443,10 @@ def check_chain_rule(ring, n, k, rng):
     jst = st.jacobian()
     # matrix chain rule: entry (i, j) of the composite matrix
     js_cols = list(zip(*js.matrix))
+    moved = sigma.apply_all([entry for row in jt.matrix for entry in row]
+                            + [jt.det])
     for i in range(n):
-        row = [sigma.apply(entry) for entry in jt.matrix[i]]
+        row = moved[i * n:(i + 1) * n]
         for j in range(n):
             if dot(ring, n, zip(row, js_cols[j]), n) != jst.matrix[i][j]:
                 yield f"matrix entry ({i + 1},{j + 1}): sample {k}"
@@ -452,7 +454,7 @@ def check_chain_rule(ring, n, k, rng):
         else:
             continue
         break
-    if jst.det != sigma.apply(jt.det) * js.det:
+    if jst.det != moved[-1] * js.det:
         yield f"determinant chain rule: sample {k}"
     sigma_inv = sigma.inverse()
     if sigma_inv.jacobian().det != sigma_inv.apply(invert_unit(js.det)):

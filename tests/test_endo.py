@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -124,15 +125,30 @@ class TestApplyCompose:
             assert sigma.apply(e) == want
 
 
-def fresh(sigma):
-    """A copy of sigma with an empty product memo."""
-    return Endomorphism(sigma.images, check=False)
+def memo_walk(sigma):
+    """Reference for ``apply``: sums one product of images per monomial.
+
+    The product for a mask is the product for the mask without its top
+    generator times that generator's image, memoised here, apart from
+    ``apply_all``'s table."""
+    prods = {0: GrassmannElement.one(sigma.ring, sigma.n)}
+
+    def product(mask):
+        if mask not in prods:
+            top = mask.bit_length() - 1
+            prods[mask] = product(mask ^ 1 << top) * sigma.images[top]
+        return prods[mask]
+
+    def walk(e):
+        return lincomb(sigma.ring, sigma.n,
+                       ((c, product(mask)) for mask, c in e.num.items()), e.den)
+    return walk
 
 
-def memo_walk(sigma, e):
-    """Reference for ``apply``: one memoised product per monomial of e."""
-    return lincomb(sigma.ring, sigma.n,
-                   ((c, sigma._product(mask)) for mask, c in e.num.items()), e.den)
+def random_map(rng, field, n):
+    """A random automorphism; a random linear one below n = 3."""
+    return (random_automorphism(rng, field, n) if n >= 3
+            else random_linear(rng, field, n))
 
 
 def low_bits(n):
@@ -149,7 +165,7 @@ SPLIT_FIELDS = [
 
 
 class TestSplitApply:
-    """Split-block ``apply`` against the memo walk."""
+    """Split-block ``apply_all`` against the memo walk."""
 
     @staticmethod
     def element(rng, field, n, coeffs, masks):
@@ -161,52 +177,51 @@ class TestSplitApply:
                              ids=["QQ", "GF7", "GF3"])
     def test_against_memo_walk(self, field, coeffs, n):
         rng = spawn(9, "split-apply", str(field), n)
-        sigma = (random_automorphism(rng, field, n) if n >= 3
-                 else random_linear(rng, field, n))
+        sigma = random_map(rng, field, n)
         s = low_bits(n)
         full = range(1 << n)
-        dense = [m for m in full if rng.random() < 0.5]
         cases = {
             "sparse": rng.sample(full, min(3, 1 << n)),
             "low block only": range(1 << s),
             # every high group holds one term
             "low block plus one term per high group": list(range(1 << s)) + [
                 rng.randrange(1 << s) | h << s for h in range(1, 1 << (n - s))],
+            "dense": [m for m in full if rng.random() < 0.5],
+            "zero": [],
         }
-        for name, masks in cases.items():
-            e = self.element(rng, field, n, coeffs, masks)
-            assert fresh(sigma).apply(e) == memo_walk(fresh(sigma), e), name
-        e = self.element(rng, field, n, coeffs, dense)
-        walked = fresh(sigma)
-        want = memo_walk(walked, e)
-        once = fresh(sigma)
-        assert once.apply(e) == want
-        # masks memoised by an earlier apply, compose or memo walk are
-        # summed directly
-        assert once.apply(e) == want
-        size = len(walked._prods)
-        assert walked.apply(e) == want
-        assert len(walked._prods) == size
-        composed = fresh(sigma)
-        composed.compose(random_automorphism(rng, field, n) if n >= 3
-                         else random_linear(rng, field, n))
-        assert composed.apply(e) == want
-        zero = GrassmannElement.zero(field, n)
-        assert sigma.apply(zero) == zero
+        elements = [self.element(rng, field, n, coeffs, masks)
+                    for masks in cases.values()]
+        oracle = memo_walk(sigma)
+        wants = [oracle(e) for e in elements]
+        for name, e, want in zip(cases, elements, wants):
+            assert sigma.apply(e) == want, name
+        # one table for the whole batch: later elements find products of
+        # earlier ones tabled
+        assert sigma.apply_all(elements) == wants
+        taus = [Endomorphism([elements[i % len(elements)] for i in range(n)],
+                             check=False),
+                random_map(rng, field, n)]
+        for tau in taus:
+            composed = sigma.compose(tau)
+            for image, y in zip(composed.images, tau.images):
+                assert image == oracle(y)
 
-    @pytest.mark.parametrize("n", [10, 12])
-    def test_memo_bound_after_dense_apply(self, n):
-        # at most 2^s low-block and 2^(n-s) high-block products, the constant
-        # 1 shared: 135 at n = 10 and 271 at n = 12, where the memo walk
-        # holds about 700 and 2700; the bound counts masks, so a sparse
-        # shift keeps the test fast
-        s = low_bits(n)
-        rng = spawn(9, "split-bound", n)
-        sigma = random_gamma(rng, GF(7), n, terms=2)
-        e = GrassmannElement(GF(7), n, {m: 1 + rng.randrange(6) for m in range(1 << n)
-                                        if rng.random() < 0.5})
-        sigma.apply(e)
-        assert len(sigma._prods) <= (1 << s) + (1 << (n - s)) - 1
+    def test_compose_frees_its_table(self):
+        # dense sigma . sigma^-1 at n = 9 over GF(7); the products live only
+        # for the call, and no reference cycle keeps them until a collection
+        n = 9
+        sigma = random_automorphism(spawn(1, "c", n), GF(7), n)
+        inv = sigma.inverse()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            composed = sigma.compose(inv)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert composed.is_identity()
+        assert retained - base < 0.25 * 2**20
+        assert peak - base < 1.2 * 2**20
 
 
 def all_pairs_error(images):

@@ -14,7 +14,6 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 @pytest.mark.parametrize("argv", [
     ["dimension_table.py"],
-    ["apply_scaling.py", "5"],
     ["elim_scaling.py", "4"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):
