@@ -206,6 +206,31 @@ class TestSplitApply:
             for image, y in zip(composed.images, tau.images):
                 assert image == oracle(y)
 
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_memo_bound_after_dense_apply(self, n, monkeypatch):
+        # the call's table holds at most 2^s low-block and 2^(n-s) high-block
+        # products, the constant 1 shared: 135 at n = 10 and 271 at n = 12,
+        # where the memo walk holds about 700 and 2700; the bound counts
+        # masks, so a sparse shift keeps the test fast
+        tables = []
+
+        class Recorded(endo_module._Products):
+            __slots__ = ()
+
+            def __init__(self, sigma):
+                super().__init__(sigma)
+                tables.append(self)
+
+        monkeypatch.setattr(endo_module, "_Products", Recorded)
+        s = low_bits(n)
+        rng = spawn(9, "split-bound", n)
+        sigma = random_gamma(rng, GF(7), n, terms=2)
+        e = GrassmannElement(GF(7), n, {m: 1 + rng.randrange(6) for m in range(1 << n)
+                                        if rng.random() < 0.5})
+        assert sigma.apply(e) == memo_walk(sigma)(e)
+        assert len(tables) == 1
+        assert len(tables[0]) <= (1 << s) + (1 << (n - s)) - 1
+
     def test_compose_frees_its_table(self):
         # dense sigma . sigma^-1 at n = 9 over GF(7); the products live only
         # for the call, and no reference cycle keeps them until a collection
