@@ -41,6 +41,11 @@ class NotInvertibleError(ValueError):
     """The endomorphism is not an automorphism."""
 
 
+class NotUnipotentError(ValueError):
+    """The map is not unipotent: its linear part is not I, or an image has
+    a constant term."""
+
+
 class Endomorphism:
     """A K-algebra endomorphism, stored as the ordered list of generator images.
 
@@ -96,21 +101,25 @@ class Endomorphism:
     # -- application and composition ---------------------------------------
 
     def apply_all(self, elements) -> list:
+        """[sigma(e) for e in elements], through one ``_Products`` table
+        dropped on return (``_apply_table``)."""
+        return self._apply_table(_Products(self), elements)
+
+    def _apply_table(self, table: "_Products", elements) -> list:
         """[sigma(e) for e in elements], sigma(e) = sum of c_m sigma(x^m).
 
-        The products sigma(x^m) go into one ``_Products`` table, shared by
-        the elements and dropped on return.  An element of at most 2^s terms,
-        s = n - floor((n+1)/3), takes the memo walk: one product per term.  A
-        larger one splits m into its low s bits l and high bits h: x^m =
-        x^l x^h without a sign, so sigma(e) = sum_h L_h sigma(x^h) with
-        L_h = sum_l c_{l|h} sigma(x^l), one ``lincomb`` per high group and one
-        ``dot`` over them, at most 2^s + 2^(n-s) tabled products plus one per
-        high group.  Terms with no high bits or a tabled product, and high
-        groups of one term, are summed directly.
+        The products sigma(x^m) come from ``table``, shared by the elements.
+        An element of at most 2^s terms, s = n - floor((n+1)/3), takes the
+        memo walk: one product per term.  A larger one splits m into its low
+        s bits l and high bits h: x^m = x^l x^h without a sign, so
+        sigma(e) = sum_h L_h sigma(x^h) with L_h = sum_l c_{l|h} sigma(x^l),
+        one ``lincomb`` per high group and one ``dot`` over them, at most
+        2^s + 2^(n-s) tabled products plus one per high group.  Terms with no
+        high bits or a tabled product, and high groups of one term, are
+        summed directly.
         """
         ring, n = self.ring, self.n
         s = n - (n + 1) // 3
-        table = _Products(self)
         out = []
         for e in elements:
             if not same_algebra(e, self):
@@ -136,6 +145,41 @@ class Endomorphism:
                     (lincomb(ring, n, ((c, table[l]) for c, l in group), e.den),
                      table[h]) for h, group in pairs), n, value)
             out.append(value)
+        return out
+
+    def apply_inverse_all(self, elements) -> list:
+        """[sigma^-1(e) for e in elements] for a unipotent sigma, without
+        building the inverse map.
+
+        sigma is unipotent when its linear part is I and no image has a
+        constant term: sigma = id + N with N raising the least degree, so
+        sigma^-1 = sum over k <= n of (-N)^k, the Neumann series.  Each step
+        adds the residual r to the result and replaces it by
+        r - sigma(r) = -N(r), every step drawing on one ``_Products`` table
+        of sigma; after n + 1 steps every residual is zero.  Any other map
+        raises ``NotUnipotentError`` before any product is formed.
+        """
+        if not _is_identity(self.linear_part()) or any(
+                0 in im.num for im in self.images):
+            raise NotUnipotentError(
+                "the Neumann series needs linear part I and no constant terms")
+        out = list(elements)
+        for e in out:
+            if not same_algebra(e, self):
+                raise DimensionMismatchError(
+                    "element/endomorphism dimension mismatch")
+        table = _Products(self)
+        residuals = {k: e for k, e in enumerate(out) if e}
+        for _ in range(self.n + 1):
+            if not residuals:
+                break
+            images = self._apply_table(table, residuals.values())
+            residuals = {k: r for (k, e), image in zip(residuals.items(), images)
+                         if (r := e - image)}
+            for k, r in residuals.items():
+                out[k] = out[k] + r
+        if residuals:
+            raise NotUnipotentError("the Neumann series did not terminate")
         return out
 
     def apply(self, e: GrassmannElement) -> GrassmannElement:
@@ -194,7 +238,7 @@ class Endomorphism:
         """
         if self._jac is None:
             matrix = self._skew_matrix()
-            det, _ = _eliminate(self.ring, self.n, matrix)
+            det, _ = _eliminate(self.ring, self.n, matrix, images=self.images)
             self._set_jacobian(matrix, det)
         return self._jac
 
@@ -220,7 +264,8 @@ class Endomorphism:
         if self._dual is None:
             matrix = (self._skew_matrix() if self._jac is None
                       else self._jac.matrix)
-            det, inv = _eliminate(self.ring, self.n, matrix, inverse=True)
+            det, inv = _eliminate(self.ring, self.n, matrix, inverse=True,
+                                  images=self.images)
             if self._jac is None:
                 self._set_jacobian(matrix, det)
             self._dual = [list(col) for col in zip(*inv)]
@@ -263,32 +308,27 @@ class Endomorphism:
         return hit
 
     def _inverse_iteration(self) -> "Endomorphism":
-        """Peel off the linear part, then resubstitute the tail to a fixpoint.
+        """Peel off the linear part, then invert the unipotent rest on the
+        generators by its Neumann series (``apply_inverse_all``).
 
-        A map whose linear part is the identity, such as every layer
-        scaling, is its own tail: no matrix inverse and no compositions.
+        With lambda the substitution by A^-1, tau = sigma . lambda has linear
+        part I, and sigma^-1(x_i) = lambda(tau^-1(x_i)).  A map whose linear
+        part is already I, such as every layer scaling, is its own tau: no
+        matrix inverse and no compositions.
         """
         ring, n = self.ring, self.n
+        gens = [GrassmannElement.generator(ring, n, i) for i in range(1, n + 1)]
         a_mat = self.linear_part()
-        if all(c == (1 if i == j else 0) for i, row in enumerate(a_mat)
-               for j, c in enumerate(row)):
-            lin_inv = None
-            tau = self
-        else:
-            try:
-                a_inv = mat_inv(ring, a_mat)
-            except NotAUnitError:
-                raise NotInvertibleError("linear part is singular") from None
-            lin_inv = linear_endo(ring, a_inv)
-            tau = self.compose(lin_inv)  # tau(x_i) = x_i + higher terms
-        current = identity_endo(ring, n)
-        shifts = [x - im for x, im in zip(current.images, tau.images)]
-        for _ in range(n + 1):
-            nxt = shift_endo(ring, n, current.apply_all(shifts))
-            if nxt == current:
-                break
-            current = nxt
-        return current if lin_inv is None else lin_inv.compose(current)
+        if _is_identity(a_mat):
+            return Endomorphism(self.apply_inverse_all(gens), check=False)
+        try:
+            a_inv = mat_inv(ring, a_mat)
+        except NotAUnitError:
+            raise NotInvertibleError("linear part is singular") from None
+        lin_inv = linear_endo(ring, a_inv)
+        tau = self.compose(lin_inv)  # tau(x_i) = x_i + higher terms
+        return Endomorphism(lin_inv.apply_all(tau.apply_inverse_all(gens)),
+                            check=False)
 
     def _inverse_formula(self) -> "Endomorphism":
         """Closed-form inverse from composite dual derivatives.
@@ -360,6 +400,11 @@ class _Products(dict):
         return value
 
 
+def _is_identity(matrix) -> bool:
+    return all(c == (1 if i == j else 0) for i, row in enumerate(matrix)
+               for j, c in enumerate(row))
+
+
 def _truncate(e: GrassmannElement, cap: int) -> GrassmannElement:
     """e without its terms of degree above cap."""
     num = {m: c for m, c in e.num.items() if m.bit_count() <= cap}
@@ -392,7 +437,8 @@ def _valuation(det: GrassmannElement) -> int:
     return min(d, cap)
 
 
-def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
+def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False,
+               images=None):
     """Determinant, and optionally inverse, of a matrix of even elements.
 
     Even elements commute and form a local ring whose units are the elements
@@ -404,12 +450,15 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
        as int numerators over each row's lcm of denominators, gives the
        scalar row-operation transform t, as int rows over row denominators,
        and the column order ``cols``; the rows become ``t * matrix`` with
-       columns in that order, each entry one ``lincomb`` of the ints over
-       the row denominator; a row of t with one nonzero entry, equal to
+       columns in that order.  A row of t with one nonzero entry, equal to
        its denominator, takes the entries of that row of the matrix as
-       they are.  For a linear part of rank r, the r pivots
-       become 1 + nilpotent and every other entry of their columns becomes
-       nilpotent, which keeps the products of the second pass sparse.
+       they are.  Any other row is, when the matrix is the Jacobian matrix
+       of ``images``, the n skew partials of one ``lincomb`` of the images
+       (t_r J(sigma) is the Jacobian row of sum_k t_rk images[k]), and
+       otherwise one ``lincomb`` of the ints per entry.  For a linear part
+       of rank r, the r pivots become 1 + nilpotent and every other entry
+       of their columns becomes nilpotent, which keeps the products of the
+       second pass sparse.
     2. Elimination of those r columns, dividing by the pivots with
        ``invert_unit``: O(n^3) element products, each row operation
        ``a - f * b`` one ``dot`` call started at ``a``.
@@ -432,7 +481,8 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
     if inverse and rank < size:
         raise NotInvertibleError("linear part is singular")
     t = [row[size:] for row in j0]
-    columns = [[row[c] for row in matrix] for c in cols]
+    if images is None:
+        columns = [[row[c] for row in matrix] for c in cols]
     rows = []
     for t_row, d in zip(t, dens):
         support = [r for r, x in enumerate(t_row) if x]
@@ -440,6 +490,9 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False):
             # d * e_r over d: the row is row r of the matrix
             src = matrix[support[0]]
             rows.append([src[c] for c in cols])
+        elif images is not None:
+            comb = lincomb(ring, n, zip(t_row, images), d)
+            rows.append([skew_partial(c + 1, comb) for c in cols])
         else:
             rows.append([lincomb(ring, n, zip(t_row, col), d) for col in columns])
     if inverse:
@@ -476,33 +529,35 @@ def _det_central(ring: Ring, n: int, matrix) -> GrassmannElement:
     O(size * 2^size) products: ``_eliminate`` uses it only on the block
     left without unit pivots, and the tests use it as the reference.
     """
-    size = len(matrix)
-    memo: dict[int, GrassmannElement] = {}
+    return _Cofactors(ring, n, matrix)[(1 << len(matrix)) - 1]
 
-    def rec(cols: int) -> GrassmannElement:
-        hit = memo.get(cols)
-        if hit is not None:
-            return hit
-        row = size - cols.bit_count()
-        if cols == 0:
-            value = GrassmannElement.one(ring, n)
-        else:
-            value = GrassmannElement.zero(ring, n)
-            sign = 1
-            rem = cols
-            while rem:
-                low = rem & -rem
-                j = low.bit_length() - 1
-                entry = matrix[row][j]
-                if entry:
-                    term = entry * rec(cols ^ low)
-                    value = value + (term if sign > 0 else -term)
-                sign = -sign
-                rem ^= low
-        memo[cols] = value
+
+class _Cofactors(dict):
+    """The minor on the last popcount(cols) rows and the columns in the mask
+    cols, by mask, each expanded along its first row on first lookup."""
+
+    __slots__ = ("zero", "matrix")
+
+    def __init__(self, ring: Ring, n: int, matrix):
+        super().__init__({0: GrassmannElement.one(ring, n)})
+        self.zero = GrassmannElement.zero(ring, n)
+        self.matrix = matrix
+
+    def __missing__(self, cols: int) -> GrassmannElement:
+        row = self.matrix[len(self.matrix) - cols.bit_count()]
+        value = self.zero
+        sign = 1
+        rem = cols
+        while rem:
+            low = rem & -rem
+            entry = row[low.bit_length() - 1]
+            if entry:
+                term = entry * self[cols ^ low]
+                value = value + (term if sign > 0 else -term)
+            sign = -sign
+            rem ^= low
+        self[cols] = value
         return value
-
-    return rec((1 << size) - 1)
 
 
 # -- constructors ----------------------------------------------------------

@@ -528,8 +528,7 @@ def decompose_omega_gamma_linear(sigma: Endomorphism) -> OmegaGammaLinear:
     b = [lincomb(ring, n, zip(row, odds)) - _gen(ring, n, i + 1)
          for i, row in enumerate(a_inv)]
     gamma = shift_endo(ring, n, b)
-    gamma_inv = gamma.inverse()
-    evens = gamma_inv.apply_all([even_part(im) for im in sigma.images])
+    evens = gamma.apply_inverse_all([even_part(im) for im in sigma.images])
     acc = xi_particular([lincomb(ring, n, zip(row, evens)) for row in a_inv])
     half = ring.invert(ring.from_int(2))
     a_raw = gamma.apply(acc).scale(-half)
@@ -640,7 +639,8 @@ def decompose_sigma_prime(sigma: Endomorphism) -> SigmaPrimeWord:
             stage[(i, mask)] = c
         if stage:
             factor = rho_product(ring, n, s, stage, avoid)
-            residual = factor.inverse().compose(residual)
+            residual = Endomorphism(factor.apply_inverse_all(residual.images),
+                                    check=False)
     if not residual.is_identity():
         raise DecompositionError("pair-scaling peeling left a nontrivial residual")
     word = SigmaPrimeWord(ring=ring, n=n, lambdas=lambdas)
@@ -652,15 +652,19 @@ def decompose_sigma_prime(sigma: Endomorphism) -> SigmaPrimeWord:
 def decompose_layers(sigma: Endomorphism) -> LayerWord:
     """Factor a shift automorphism into Jacobian layer factors and a
     Jacobian-1 tail, one even degree at a time: the layers are peeled off
-    J(sigma) by the loop of ``jacobian_preimage``, and the tail is the
-    inverse of their product times sigma."""
+    J(sigma) by the loop of ``jacobian_preimage``, and the tail maps x_i to
+    sigma(x_i) with the inverse of each factor applied in turn, lowest
+    degree first, so no product or inverse of the factors is built."""
     ring, n = sigma.ring, sigma.n
     if n < 4:
         raise DecompositionError("layer factorization needs n >= 4")
     if not member(sigma, GAMMA):
         raise DecompositionError("input is not an odd shift automorphism")
-    layers, acc = _peel_layers(sigma.jacobian().det)
-    tail = acc.inverse().compose(sigma)
+    layers, factors = _peel_layers(sigma.jacobian().det)
+    images = sigma.images
+    for factor in factors:
+        images = factor.apply_inverse_all(images)
+    tail = Endomorphism(images, check=False)
     if not _jacobian_one(tail):
         raise DecompositionError("layer peeling left a Jacobian != 1 tail")
     word = LayerWord(layers=layers, tail=tail)
@@ -680,10 +684,13 @@ class PreimageResult:
 
 
 def _peel_layers(u: GrassmannElement):
-    """``(layers, acc)`` read off a Jacobian value u: layers[s] is the
-    degree-2s part of the moving target, zero or not, and acc the product of
-    the layer factors, lowest degree leftmost.  After a factor f the target
-    moves on by the chain rule J(f^-1 . sigma) = f^-1(J(f)^-1 * J(sigma)).
+    """``(layers, factors)`` read off a Jacobian value u: layers[s] is the
+    degree-2s part of the moving target, zero or not, and factors the layer
+    factors of the nonzero layers, lowest degree first; their product, that
+    one leftmost, has Jacobian u up to the top monomial.  After a factor f
+    the target moves on by the chain rule
+    J(f^-1 . sigma) = f^-1(J(f)^-1 * J(sigma)), f^-1 applied by its Neumann
+    series (``Endomorphism.apply_inverse_all``).
 
     J(f) has a closed form (``_layer_jacobian``).  The factor is
     f: x_i -> x_i u_i with u_i = 1 + a_i, a_i the part of label i of the
@@ -704,19 +711,21 @@ def _peel_layers(u: GrassmannElement):
     """
     ring, n = u.ring, u.n
     one = GrassmannElement.one(ring, n)
-    acc = identity_endo(ring, n)
+    factors = []
     layers = {}
     target = u
-    for s in range(1, (n - 1) // 2 + 1):
+    last = (n - 1) // 2
+    for s in range(1, last + 1):
         a2s = layers[s] = component(target - one, 2 * s)
         if not a2s:
             continue
         parts = layer_split(a2s, s).parts
         factor = _split_scaling(ring, n, parts)
-        jac = _layer_jacobian(a2s, parts)
-        target = factor.inverse().apply(invert_unit(jac) * target)
-        acc = acc.compose(factor)
-    return layers, acc
+        factors.append(factor)
+        if s < last:  # no layer reads the target after the last
+            jac = _layer_jacobian(a2s, parts)
+            target = factor.apply_inverse_all((invert_unit(jac) * target,))[0]
+    return layers, factors
 
 
 def jacobian_preimage(u: GrassmannElement, *, exact: bool = True) -> PreimageResult:
@@ -735,7 +744,10 @@ def jacobian_preimage(u: GrassmannElement, *, exact: bool = True) -> PreimageRes
         raise ValueError("target must be even with constant term 1")
     if u.constant_term() != ring.one:
         raise ValueError("target must have constant term 1")
-    _, acc = _peel_layers(u)
+    _, factors = _peel_layers(u)
+    acc = factors[0] if factors else identity_endo(ring, n)
+    for factor in factors[1:]:
+        acc = acc.compose(factor)
     achieved = acc.jacobian().det
     if n % 2:
         if achieved != u:

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from grassmann.algebra import GrassmannElement
-from grassmann.rings import GF, QQ
+from grassmann.endo import identity_endo, linear_endo, shift_endo
+from grassmann.rings import GF, QQ, mat_inv
 
 
 @pytest.fixture(params=[QQ, GF(7)], ids=["QQ", "GF7"])
@@ -75,3 +76,21 @@ def brute_force_product(e: GrassmannElement, f: GrassmannElement) -> GrassmannEl
             mask, coeff = hit
             acc[mask] = ring.normalize(acc.get(mask, ring.zero) + coeff)
     return GrassmannElement(ring, n, acc)
+
+
+def composed_iteration_inverse(sigma):
+    """Reference iteration inverse, independent of the Neumann series of
+    ``Endomorphism.apply_inverse_all``: peel the linear part (the scalar
+    inverse, its substitution and both compositions), then resubstitute the
+    shifts of the unipotent rest until the map stops changing."""
+    ring, n = sigma.ring, sigma.n
+    lin_inv = linear_endo(ring, mat_inv(ring, sigma.linear_part()))
+    tau = sigma.compose(lin_inv)
+    current = identity_endo(ring, n)
+    shifts = [x - im for x, im in zip(current.images, tau.images)]
+    for _ in range(n + 1):
+        nxt = shift_endo(ring, n, [current.apply(b) for b in shifts])
+        if nxt == current:
+            break
+        current = nxt
+    return lin_inv.compose(current)

@@ -1,9 +1,11 @@
+import gc
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_product
+from conftest import brute_force_product, composed_iteration_inverse
 from grassmann.algebra import (
     DimensionMismatchError,
     GrassmannElement,
@@ -14,6 +16,7 @@ from grassmann import endo as endo_module
 from grassmann.endo import (
     Endomorphism,
     NotInvertibleError,
+    NotUnipotentError,
     ParityError,
     _det_central,
     _eliminate,
@@ -27,6 +30,7 @@ from grassmann.endo import (
     scaling_endo,
     shift_endo,
 )
+from grassmann.groups import _avoidance, layer_scaling, rho_product
 from grassmann.rings import (GF, QQ, NotAUnitError, PrimeField, gauss_jordan,
                              mat_det, mat_inv)
 from grassmann.sampling import (
@@ -579,6 +583,59 @@ class TestEliminationKernel:
             assert [[e.constant_term() for e in row] for row in inv] == mat_inv(ring, consts)
         assert checked >= 6
 
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_images_route_matches_matrix_route(self, ring, n, monkeypatch):
+        # pass 1 from the images: one lincomb per general transform row
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lincomb(*args, **kwargs)
+
+        rng = spawn(41, "kernel-images", n, str(ring))
+        maps = [self.gl(rng, ring, n) for _ in range(3)]
+        for _ in range(3):
+            # dropping the linear term of one image leaves rank < size
+            images = list(self.gl(rng, ring, n).images)
+            k = rng.randrange(n)
+            images[k] = images[k] - GrassmannElement(
+                ring, n, {m: c for m, c in images[k].terms.items()
+                          if m.bit_count() == 1})
+            maps.append(Endomorphism(images, check=False))
+        for sigma in maps:
+            matrix = sigma._skew_matrix()
+            det, _ = _eliminate(ring, n, matrix)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(endo_module, "lincomb", counting)
+                got, _ = _eliminate(ring, n, matrix, images=sigma.images)
+            assert len(calls) <= n
+            assert got == det == _det_central(ring, n, matrix)
+            if not is_automorphism(sigma):
+                with pytest.raises(NotInvertibleError):
+                    _eliminate(ring, n, matrix, inverse=True, images=sigma.images)
+                continue
+            got, inv = _eliminate(ring, n, matrix, inverse=True,
+                                  images=sigma.images)
+            assert (got, inv) == _eliminate(ring, n, matrix, inverse=True)
+        assert sum(not is_automorphism(sigma) for sigma in maps) == 3
+
+    def test_cofactor_table_freed_on_return(self, ring):
+        # the minors live in a dict, not in a self-referencing closure
+        rng = spawn(41, "kernel-cofactor-gc", str(ring))
+        n = 6
+        matrix = [[random_element(rng, ring, n, degrees=range(0, n + 1, 2),
+                                  terms=2) for _ in range(3)] for _ in range(3)]
+        gc.collect()
+        gc.disable()
+        try:
+            det = _det_central(ring, n, matrix)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert det == _eliminate(ring, n, matrix)[0]
+
     def test_singular_linear_part_raises(self, ring):
         sigma = Endomorphism([gen(ring, 2, 2), gen(ring, 2, 2)], check=False)
         assert sigma.jacobian().det == GrassmannElement.zero(ring, 2)
@@ -625,22 +682,6 @@ def untruncated_formula_inverse(sigma):
             terms[mask] = duals[mask].constant_term()
         images.append(GrassmannElement(ring, n, terms))
     return Endomorphism(images, check=False)
-
-
-def composed_iteration_inverse(sigma):
-    """Reference iteration inverse that always peels the linear part: the
-    scalar inverse, its substitution and both compositions."""
-    ring, n = sigma.ring, sigma.n
-    lin_inv = linear_endo(ring, mat_inv(ring, sigma.linear_part()))
-    tau = sigma.compose(lin_inv)
-    current = identity_endo(ring, n)
-    shifts = [x - im for x, im in zip(current.images, tau.images)]
-    for _ in range(n + 1):
-        nxt = shift_endo(ring, n, [current.apply(b) for b in shifts])
-        if nxt == current:
-            break
-        current = nxt
-    return lin_inv.compose(current)
 
 
 class TestInverse:
@@ -744,6 +785,73 @@ class TestInverse:
         sigma = Endomorphism([gen(ring, 2, 2), gen(ring, 2, 2)], check=False)
         with pytest.raises(NotInvertibleError, match="linear part is singular"):
             sigma.inverse("iteration")
+
+
+def unipotent_maps(rng, ring, n):
+    """Maps with linear part I and no constant terms: layer scalings, pair
+    scaling products, shifts sparse and dense, Jacobian-1 words and inner
+    maps; the families that need n >= 3 fall back to the identity."""
+    maps = [random_gamma(rng, ring, n), random_sigma_word(rng, ring, n),
+            random_omega(rng, ring, n)]
+    for s in range(1, (n - 1) // 2 + 1):
+        maps.append(layer_scaling(ring, n, s, random_element(
+            rng, ring, n, degrees=[2 * s], terms=4)))
+        avoid = _avoidance(n, s)
+        lambdas = {(i, mask): ring.random(rng) for i in range(1, n)
+                   for mask in avoid.domain[i] if rng.random() < 0.5}
+        maps.append(rho_product(ring, n, s, lambdas, avoid))
+    odd = [d for d in range(3, n + 1, 2)]
+    if odd:
+        maps.append(shift_endo(ring, n, [GrassmannElement(
+            ring, n, {m: ring.random_nonzero(rng) for m in range(1 << n)
+                      if m.bit_count() in odd and rng.random() < 0.5})
+            for _ in range(n)]))
+    return maps
+
+
+class TestApplyInverseAll:
+    @pytest.mark.parametrize("ring", [QQ, GF(3), GF(7)], ids=str)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_inverse_map(self, ring, n):
+        rng = spawn(47, "neumann", n, str(ring))
+        zero = GrassmannElement.zero(ring, n)
+        for f in unipotent_maps(rng, ring, n):
+            es = [random_element(rng, ring, n, terms=5) for _ in range(3)]
+            es += [zero, es[0], GrassmannElement.one(ring, n), es[1], zero]
+            got = f.apply_inverse_all(es)
+            assert got == composed_iteration_inverse(f).apply_all(es)
+            assert f.apply_all(got) == es
+        assert f.apply_inverse_all([]) == []
+
+    @pytest.mark.parametrize("ring", [QQ, GF(3), GF(7)], ids=str)
+    def test_non_unipotent_fails_fast(self, ring, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("products formed for a non-unipotent map")
+
+        n = 8
+        rng = spawn(47, "neumann-refuse", str(ring))
+        two = ring.from_int(2)
+        gl = random_gamma_gl(rng, ring, n)
+        constant = list(random_gamma(rng, ring, n).images)
+        constant[2] = constant[2] + GrassmannElement.scalar(ring, n, ring.one)
+        es = [random_element(rng, ring, n, terms=20) for _ in range(3)]
+        with monkeypatch.context() as m:
+            m.setattr(endo_module, "_Products", refuse)
+            for f in (linear_endo(ring, [[two if i == j else ring.zero
+                                          for j in range(n)] for i in range(n)]),
+                      gl, Endomorphism(constant, check=False)):
+                start = time.perf_counter()
+                with pytest.raises(NotUnipotentError):
+                    f.apply_inverse_all(es)
+                assert time.perf_counter() - start < 1
+        # a GL map is inverted through the linear peel
+        assert gl.inverse() == composed_iteration_inverse(gl)
+        assert gl.compose(gl.inverse()) == identity_endo(ring, n)
+
+    def test_dimension_mismatch(self, ring):
+        f = random_gamma(spawn(47, "neumann-dims", str(ring)), ring, 4)
+        with pytest.raises(DimensionMismatchError):
+            f.apply_inverse_all([GrassmannElement.zero(ring, 5)])
 
 
 class TestInner:

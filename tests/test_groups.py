@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import composed_iteration_inverse
 from grassmann.algebra import (
     GrassmannElement,
     component,
@@ -44,6 +45,7 @@ from grassmann.groups import (
 from grassmann.linsolve import layer_split
 from grassmann.rings import GF, QQ
 from grassmann.sampling import (
+    random_automorphism,
     random_even,
     random_gamma,
     random_gamma_gl,
@@ -53,6 +55,7 @@ from grassmann.sampling import (
     random_omega,
     random_phi,
     random_shift_word,
+    random_sigma_prime_word,
     random_sigma_word,
     random_unipotent,
     spawn,
@@ -576,6 +579,41 @@ class TestJacobianPreimage:
             jacobian_preimage(parse_element(ring, 5, "1 + x1"))
         with pytest.raises(ValueError):
             jacobian_preimage(parse_element(ring, 5, "2 + x1x2"))
+
+
+class TestNoInverseMapBuilt:
+    """Every inverse the factorizations and the preimage need is applied by
+    its Neumann series: with inverse maps refused they return what the
+    inverse maps give."""
+
+    @staticmethod
+    def results(seed, ring, n):
+        rng = spawn(seed, "no-inverse-map", n, str(ring))
+        u = GrassmannElement.one(ring, n) + random_even(rng, ring, n, terms=6)
+        pre = jacobian_preimage(u, exact=False)
+        return (decompose_layers(random_gamma(rng, ring, n)).to_json(),
+                (pre.sigma, pre.achieved, pre.forced_top),
+                decompose_sigma_prime(random_sigma_prime_word(rng, ring, n)).lambdas,
+                decompose_omega_gamma_linear(random_automorphism(rng, ring, n)))
+
+    @pytest.mark.parametrize("ring", [QQ, GF(3), GF(7)], ids=str)
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_same_results_without_inverse_maps(self, ring, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an inverse map was built")
+
+        def through_inverse_map(sigma, elements):
+            return composed_iteration_inverse(sigma).apply_all(elements)
+
+        for seed in range(3):
+            with monkeypatch.context() as m:
+                m.setattr(Endomorphism, "apply_inverse_all", through_inverse_map)
+                want = self.results(seed, ring, n)
+            with monkeypatch.context() as m:
+                m.setattr(Endomorphism, "inverse", refuse)
+                m.setattr(Endomorphism, "_inverse_iteration", refuse)
+                got = self.results(seed, ring, n)
+            assert got == want
 
 
 class TestGenerators:
