@@ -18,6 +18,7 @@ from .endo import (
     Endomorphism,
     JacobianData,
     NotInvertibleError,
+    NotUnipotentError,
     ParityError,
     apply,
     compose,

@@ -156,9 +156,13 @@ class Endomorphism:
         sigma^-1 = sum over k <= n of (-N)^k, the Neumann series.  Each step
         adds the residual r to the result and replaces it by
         r - sigma(r) = -N(r), every step drawing on one ``_Products`` table
-        of sigma; after n + 1 steps every residual is zero.  Any other map
-        raises ``NotUnipotentError`` before any product is formed.
+        of sigma; after n + 1 steps every residual is zero.  N raises
+        degrees by at least d, one less than the least degree of an
+        image's term other than x_i, so it kills the terms of degree above
+        n - d, and those are cut from r before sigma is applied.  Any other
+        map raises ``NotUnipotentError`` before any product is formed.
         """
+        n = self.n
         if not _is_identity(self.linear_part()) or any(
                 0 in im.num for im in self.images):
             raise NotUnipotentError(
@@ -168,16 +172,23 @@ class Endomorphism:
             if not same_algebra(e, self):
                 raise DimensionMismatchError(
                     "element/endomorphism dimension mismatch")
+        cap = n + 1 - min((m.bit_count() for i, im in enumerate(self.images)
+                           for m in im.num if m != 1 << i), default=n + 1)
         table = _Products(self)
-        residuals = {k: e for k, e in enumerate(out) if e}
-        for _ in range(self.n + 1):
+        residuals = {k: cut for k, e in enumerate(out)
+                     if (cut := _truncate(e, cap))}
+        for _ in range(n + 1):
             if not residuals:
                 break
             images = self._apply_table(table, residuals.values())
-            residuals = {k: r for (k, e), image in zip(residuals.items(), images)
-                         if (r := e - image)}
-            for k, r in residuals.items():
-                out[k] = out[k] + r
+            nxt = {}
+            for (k, e), image in zip(residuals.items(), images):
+                r = e - image
+                if r:
+                    out[k] = out[k] + r
+                    if cut := _truncate(r, cap):
+                        nxt[k] = cut
+            residuals = nxt
         if residuals:
             raise NotUnipotentError("the Neumann series did not terminate")
         return out

@@ -848,6 +848,21 @@ class TestApplyInverseAll:
         assert gl.inverse() == composed_iteration_inverse(gl)
         assert gl.compose(gl.inverse()) == identity_endo(ring, n)
 
+    def test_terms_killed_by_n_take_no_product(self, ring, monkeypatch):
+        # a layer factor of degree 2s raises degrees by 2s, so it fixes
+        # every term of degree above n - 2s
+        def refuse(*args):
+            raise AssertionError("a product was formed for a fixed term")
+
+        n, s = 7, 2
+        rng = spawn(47, "neumann-cut", str(ring))
+        f = layer_scaling(ring, n, s, random_element(
+            rng, ring, n, degrees=[2 * s], terms=6))
+        e = random_element(rng, ring, n, degrees=range(n - 2 * s + 1, n + 1),
+                           terms=8)
+        monkeypatch.setattr(endo_module._Products, "__missing__", refuse)
+        assert f.apply_inverse_all([e, e]) == [e, e]
+
     def test_dimension_mismatch(self, ring):
         f = random_gamma(spawn(47, "neumann-dims", str(ring)), ring, 4)
         with pytest.raises(DimensionMismatchError):
