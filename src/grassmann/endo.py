@@ -6,12 +6,15 @@ of two linear substitutions x -> Ax and x -> Bx is the substitution x -> BAx.
 Every automorphism is built from four shapes, each with one constructor:
 ``inner`` (x -> u x u^-1), ``shift_endo`` (x_i -> x_i + b_i),
 ``scaling_endo`` (x_i -> x_i(1 + a_i)) and ``linear_endo`` (x -> Ax).
+``compose_all`` is the one ordered product of a list of maps: f1 . f2 ... fk,
+fk applied first, folded from the left, ((f1 . f2) . f3) ...
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
 
 from .algebra import (
@@ -577,6 +580,13 @@ def identity_endo(ring: Ring, n: int) -> Endomorphism:
     return Endomorphism(
         [GrassmannElement.generator(ring, n, i) for i in range(1, n + 1)],
         check=False)
+
+
+def compose_all(ring: Ring, n: int, factors) -> Endomorphism:
+    """The ordered product f1 . f2 ... fk of ``factors``, fk applied first,
+    folded from the left; the identity only when there are no factors."""
+    factors = tuple(factors)
+    return reduce(Endomorphism.compose, factors) if factors else identity_endo(ring, n)
 
 
 def linear_endo(ring: Ring, matrix) -> Endomorphism:

@@ -12,8 +12,8 @@ import random
 from itertools import combinations
 
 from .algebra import GrassmannElement, indices_mask
-from .endo import (Endomorphism, coordinate_shift, identity_endo, inner,
-                   linear_endo, scaling_endo, shift_endo)
+from .endo import (Endomorphism, compose_all, coordinate_shift, identity_endo,
+                   inner, linear_endo, scaling_endo, shift_endo)
 from .groups import _avoidance, rho_endo
 from .rings import Ring, mat_det
 
@@ -107,18 +107,16 @@ def random_phi(rng, ring, n: int, *, terms: int = 2) -> Endomorphism:
 
 def random_shift_word(rng, ring, n: int, *, length: int = 4) -> Endomorphism:
     """A word in single-coordinate shifts along odd monomials (degree >= 3)."""
-    acc = identity_endo(ring, n)
     degrees = [d for d in range(3, n, 2)]
-    if not degrees:
-        return acc
-    for _ in range(length):
+    factors = []
+    for _ in range(length if degrees else 0):
         i = rng.randrange(1, n + 1)
         pool = [k for k in range(1, n + 1) if k != i]
         d = rng.choice([d for d in degrees if d <= len(pool)])
         mask = indices_mask(rng.sample(pool, d))
         b = GrassmannElement.monomial(ring, n, mask, ring.random(rng))
-        acc = acc.compose(coordinate_shift(ring, n, i, b, check=False))
-    return acc
+        factors.append(coordinate_shift(ring, n, i, b, check=False))
+    return compose_all(ring, n, factors)
 
 
 def _pair_scaling_stages(n: int) -> list:
@@ -139,13 +137,9 @@ def _random_pair_scaling(rng, ring, n: int, stages) -> Endomorphism:
 
 def random_sigma_prime_word(rng, ring, n: int, *, length: int = 4) -> Endomorphism:
     """A word in the balanced pair-scaling generators (Jacobian 1 by design)."""
-    acc = identity_endo(ring, n)
     stages = _pair_scaling_stages(n)
-    if not stages:
-        return acc
-    for _ in range(length):
-        acc = acc.compose(_random_pair_scaling(rng, ring, n, stages))
-    return acc
+    return compose_all(ring, n, [_random_pair_scaling(rng, ring, n, stages)
+                                 for _ in range(length if stages else 0)])
 
 
 def random_sigma_word(rng, ring, n: int, *, length: int = 5) -> Endomorphism:
@@ -154,20 +148,18 @@ def random_sigma_word(rng, ring, n: int, *, length: int = 5) -> Endomorphism:
     For n <= 3 neither generator exists (the group is trivial), and the
     identity is returned.
     """
-    acc = identity_endo(ring, n)
     triples = [(i, mask) for i in range(1, n + 1)
                for mask in _triple_masks(n, i)]
-    if not triples:
-        return acc
     stages = _pair_scaling_stages(n)
-    for _ in range(length):
+    factors = []
+    for _ in range(length if triples else 0):
         if stages and rng.random() < 0.5:
-            acc = acc.compose(_random_pair_scaling(rng, ring, n, stages))
+            factors.append(_random_pair_scaling(rng, ring, n, stages))
         else:
             i, mask = rng.choice(triples)
             b = GrassmannElement.monomial(ring, n, mask, ring.random(rng))
-            acc = acc.compose(coordinate_shift(ring, n, i, b, check=False))
-    return acc
+            factors.append(coordinate_shift(ring, n, i, b, check=False))
+    return compose_all(ring, n, factors)
 
 
 def _triple_masks(n: int, i: int):
@@ -177,13 +169,9 @@ def _triple_masks(n: int, i: int):
 
 def random_unipotent(rng, ring, n: int, *, factors: int = 3) -> Endomorphism:
     """A random product of inner and shift factors (identity linear part)."""
-    acc = identity_endo(ring, n)
-    for _ in range(factors):
-        if rng.random() < 0.5:
-            acc = acc.compose(random_omega(rng, ring, n, terms=2))
-        else:
-            acc = acc.compose(random_gamma(rng, ring, n, terms=1))
-    return acc
+    return compose_all(ring, n, [
+        random_omega(rng, ring, n, terms=2) if rng.random() < 0.5
+        else random_gamma(rng, ring, n, terms=1) for _ in range(factors)])
 
 
 def random_automorphism(rng, ring, n: int) -> Endomorphism:

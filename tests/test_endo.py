@@ -20,6 +20,7 @@ from grassmann.endo import (
     ParityError,
     _det_central,
     _eliminate,
+    compose_all,
     coordinate_shift,
     format_endomorphism,
     identity_endo,
@@ -41,6 +42,7 @@ from grassmann.sampling import (
     random_linear,
     random_odd,
     random_omega,
+    random_phi,
     random_sigma_word,
     spawn,
 )
@@ -127,6 +129,27 @@ class TestApplyCompose:
                         prod = brute_force_product(prod, sigma.images[i])
                 want = want + prod.scale(c)
             assert sigma.apply(e) == want
+
+
+class TestComposeAll:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_matches_right_nested_fold(self, ring, n):
+        # the left fold ((f1 f2) f3) ... equals f1 (f2 (f3 ...)) on random
+        # shift, inner, scaling and linear maps
+        rng = spawn(21, "compose-all", str(ring), n)
+        samplers = (random_gamma, random_omega, random_phi, random_linear)
+        for k in (0, 1, 3, 5):
+            maps = [rng.choice(samplers)(rng, ring, n) for _ in range(k)]
+            want = identity_endo(ring, n)
+            for f in reversed(maps):
+                want = f.compose(want)
+            assert compose_all(ring, n, maps) == want
+            assert compose_all(ring, n, iter(maps)) == want
+
+    def test_empty_and_single(self, ring, rng):
+        assert compose_all(ring, 5, []) == identity_endo(ring, 5)
+        f = random_automorphism(rng, ring, 5)
+        assert compose_all(ring, 5, [f]) is f
 
 
 def memo_walk(sigma):
