@@ -125,7 +125,11 @@ def normalize_group_name(name) -> tuple[str, Optional[int]]:
     text = _GROUP_ALIASES.get(text, text)
     if ":" in text:
         kind, param = text.split(":", 1)
-        return kind, int(param)
+        try:
+            return kind, int(param)
+        except ValueError:
+            raise ValueError(f"group {name!r}: the parameter after ':' must be "
+                             f"an integer") from None
     return text, None
 
 
@@ -588,27 +592,30 @@ def decompose_unipotent(sigma: Endomorphism) -> UnipotentWord:
 def decompose_gamma(sigma: Endomorphism) -> GammaWord:
     """Factor a shift automorphism as scaling times single-coordinate shifts.
 
-    The degree-k shift tuple is read from the inverse: c_i is the degree-k
-    part of the image of x_i under the running inverse that avoids x_i.
+    sigma = phi . xi_max ... xi_5 . xi_3 is peeled from the right, lowest
+    degree first, on a list of images.  At degree k the residual is
+    phi . xi_max ... xi_k, and c_i is the degree-k part of its image of x_i
+    that avoids x_i: phi and the higher factors add only terms that contain
+    x_i or have degree above k.  xi_k = S_1 ... S_n then comes off one S_i at
+    a time, S_n first.  As c_i avoids x_i, S_i^-1 is x_i -> x_i - c_i, so
+    peeling S_i changes only the image of x_i, by minus the residual's image
+    of c_i.  The images left after the last degree are phi's.
     """
-    ring, n = sigma.ring, sigma.n
+    n = sigma.n
     if not member(sigma, GAMMA):
         raise DecompositionError("input is not an odd shift automorphism")
-    current = sigma.inverse()
+    images = list(sigma.images)
     xis = {}
     for degree in range(3, n + 1, 2):
-        cs = []
-        for i in range(1, n + 1):
-            bit = 1 << (i - 1)
-            image = current.images[i - 1]
-            free = restrict(image, {m: c for m, c in image.num.items()
-                                    if not (m & bit) and m.bit_count() == degree})
-            cs.append(free)
-        shifts = tuple(-c for c in cs)
-        if any(shifts):
-            current = _shift_product(ring, n, shifts).compose(current)
+        shifts = tuple(
+            restrict(image, {m: c for m, c in image.num.items()
+                             if not (m >> i) & 1 and m.bit_count() == degree})
+            for i, image in enumerate(images))
+        for i in reversed(range(n)):
+            if shifts[i]:
+                images[i] = images[i] - Endomorphism(images, check=False).apply(shifts[i])
         xis[degree] = shifts
-    phi = current.inverse()
+    phi = Endomorphism(images, check=False)
     if not member(phi, PHI):
         raise DecompositionError("residual is not a scaling automorphism")
     word = GammaWord(phi=phi, xis=xis)

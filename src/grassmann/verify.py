@@ -937,6 +937,8 @@ SUITE_MIN_N = {"solvers": 2, "ascents": 3, "groups": 4, "preimage": 4}
 
 def run_suite(suite: str, *, n: int = 5, ring: Ring = None, samples: int = 25,
               seed=0) -> list[CheckResult]:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     ring = ring if ring is not None else GF(7)
     if suite == "all":
         need = max(SUITE_MIN_N.values())

@@ -4,6 +4,7 @@ import pytest
 
 from grassmann.algebra import GrassmannElement
 from grassmann.endo import identity_endo, linear_endo, shift_endo
+from grassmann.groups import GammaWord, _shift_product
 from grassmann.rings import GF, QQ, mat_inv
 
 
@@ -94,3 +95,24 @@ def composed_iteration_inverse(sigma):
             break
         current = nxt
     return lin_inv.compose(current)
+
+
+def gamma_word_by_inverse(sigma):
+    """Reference Gamma factorization, kept as an independent route to the
+    forward peel of ``decompose_gamma``: it reads c_i off the running inverse,
+    where minus c_i is the degree-k part of its image of x_i that avoids x_i,
+    composes the degree-k shift product onto it, and inverts what is left
+    for phi."""
+    ring, n = sigma.ring, sigma.n
+    current = sigma.inverse()
+    xis = {}
+    for degree in range(3, n + 1, 2):
+        shifts = tuple(
+            -GrassmannElement(ring, n, {m: c for m, c in image.terms.items()
+                                        if not (m >> (i - 1)) & 1
+                                        and m.bit_count() == degree})
+            for i, image in enumerate(current.images, 1))
+        if any(shifts):
+            current = _shift_product(ring, n, shifts).compose(current)
+        xis[degree] = shifts
+    return GammaWord(phi=current.inverse(), xis=xis)

@@ -161,6 +161,16 @@ class TestMemberCommand:
         assert runs[0] == runs[1]
         assert runs[0][0] == 0
 
+    def test_malformed_group_parameter(self, capsys):
+        for argv, group in [
+                (("member", "--n", "4", "--endo",
+                  "x1 -> x1; x2 -> x2; x3 -> x3; x4 -> x4"), "sigma:"),
+                (("dims", "--n", "6"), "gamma-asc:x")]:
+            code, out, err = run_cli(capsys, *argv, "--group", group)
+            assert (code, out) == (2, "")
+            assert err == (f"error: group {group!r}: the parameter after ':' "
+                           f"must be an integer")
+
 
 class TestPreimageCommand:
     def test_odd_n(self, capsys):
@@ -221,6 +231,14 @@ class TestVerifyCommand:
             assert "Traceback" not in err
         else:
             assert code == 0 and "FAIL" not in out
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_refused(self, capsys, samples):
+        code, out, err = run_cli(capsys, "verify", "--suite", "algebra",
+                                 "--n", "4", "--samples", samples)
+        assert code == 2
+        assert "[PASS]" not in out
+        assert err == f"error: samples must be at least 1, got {samples}"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "n3",

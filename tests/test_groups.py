@@ -594,7 +594,8 @@ class TestNoInverseMapBuilt:
         return (decompose_layers(random_gamma(rng, ring, n)).to_json(),
                 (pre.sigma, pre.achieved, pre.forced_top),
                 decompose_sigma_prime(random_sigma_prime_word(rng, ring, n)).lambdas,
-                decompose_omega_gamma_linear(random_automorphism(rng, ring, n)))
+                decompose_omega_gamma_linear(random_automorphism(rng, ring, n)),
+                decompose_gamma(random_gamma(rng, ring, n)).to_json())
 
     @pytest.mark.parametrize("ring", [QQ, GF(3), GF(7)], ids=str)
     @pytest.mark.parametrize("n", [4, 5, 6, 7])

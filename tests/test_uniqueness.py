@@ -6,11 +6,13 @@ recovers exactly that data (not merely some recomposing word).
 """
 
 import random
+from itertools import product
 
 import pytest
 
+from conftest import gamma_word_by_inverse
 from grassmann.algebra import GrassmannElement, element_from_json, element_to_json
-from grassmann.endo import Endomorphism, identity_endo, inner
+from grassmann.endo import Endomorphism, identity_endo, inner, shift_endo
 from grassmann.groups import (
     _avoidance,
     decompose_gamma,
@@ -22,7 +24,8 @@ from grassmann.groups import (
 )
 from grassmann.groups import _shift_product
 from grassmann.rings import GF, QQ
-from grassmann.sampling import random_element, random_sigma_word, spawn
+from grassmann.sampling import (random_element, random_gamma, random_phi,
+                                random_shift_word, random_sigma_word, spawn)
 
 
 @pytest.fixture(params=[QQ, GF(7)], ids=["QQ", "GF7"])
@@ -103,6 +106,31 @@ class TestGammaWordUniqueness:
             assert word.phi == phi
             for degree, cs in shifts.items():
                 assert word.xis[degree] == cs
+
+
+def dense_gamma(rng, ring, n):
+    """x_i -> x_i + every odd monomial of degree >= 3, random coefficients."""
+    return shift_endo(ring, n, [GrassmannElement(ring, n, {
+        m: ring.random_nonzero(rng) for m in range(1 << n)
+        if m.bit_count() >= 3 and m.bit_count() % 2}) for _ in range(n)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=str)
+def test_gamma_word_matches_inverse_reading(field):
+    # the forward peel and the running-inverse oracle give one word
+    for n, seed in product(range(1, 8), range(4)):
+        rng = spawn(seed, "gamma-oracle", n, field)
+        inputs = [random_gamma(rng, field, n, terms=2),
+                  random_gamma(rng, field, n, terms=6),
+                  random_phi(rng, field, n).compose(random_shift_word(rng, field, n)),
+                  random_sigma_word(rng, field, n)]
+        if n >= 5:
+            inputs.append(dense_gamma(rng, field, n))
+        for sigma in inputs:
+            want = gamma_word_by_inverse(sigma)
+            word = decompose_gamma(sigma)
+            assert word.phi == want.phi
+            assert word.xis == want.xis
 
 
 class TestSigmaPrimeUniqueness:
