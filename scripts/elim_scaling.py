@@ -12,20 +12,22 @@ shift * linear automorphisms (``random_gamma(terms=2)`` composed with
 workload), and of ``groups.decompose_layers`` on the shift factors of those
 maps (n >= 4 only, "-" below).  Each Jacobian and factorization runs on a
 fresh copy of its map, so no cached product or determinant carries over.
-The last column checks that the inverses multiply back to I and that every
-layer word recomposes to its map.
+The last column checks that the inverses multiply back to I, that every
+layer word recomposes to its map and, for n <= 9, that every timed Jacobian
+determinant equals the cofactor expansion ``_det_central`` of its matrix.
 """
 
 import sys
 from statistics import median
 from time import perf_counter
 
-from grassmann.endo import Endomorphism, linear_endo
+from grassmann.endo import Endomorphism, _det_central, linear_endo
 from grassmann.groups import DecompositionError, decompose_layers
 from grassmann.rings import GF, QQ, mat_inv, mat_mul
 from grassmann.sampling import random_gamma, random_invertible_matrix, spawn
 
 SAMPLES = 7
+ORACLE_MAX_N = 9  # the cofactor expansion takes O(n 2^n) products
 
 
 def time_mat_inv(rng, ring, n):
@@ -43,15 +45,18 @@ def time_mat_inv(rng, ring, n):
 
 def time_jacobian(rng, ring, n):
     """Median times of the Jacobian and of the layer factorization (None
-    below n = 4), and whether every layer word recomposed."""
+    below n = 4), and whether every determinant matched the cofactor
+    expansion (n <= ORACLE_MAX_N) and every layer word recomposed."""
     jac_times, layer_times, ok = [], [], True
     for _ in range(SAMPLES):
         gamma = random_gamma(rng, ring, n, terms=2)
         rho = gamma.compose(linear_endo(ring, random_invertible_matrix(rng, ring, n)))
         fresh = Endomorphism(rho.images, check=False)
         t0 = perf_counter()
-        fresh.jacobian()
+        jac = fresh.jacobian()
         jac_times.append(perf_counter() - t0)
+        if n <= ORACLE_MAX_N:
+            ok = ok and jac.det == _det_central(ring, n, jac.matrix)
         if n < 4:
             continue
         fresh = Endomorphism(gamma.images, check=False)
@@ -74,8 +79,8 @@ def main(argv=None) -> int:
             rng = spawn(1, "elim-scaling", name, n)
             t_inv, inv_ok = time_mat_inv(rng, ring, n)
             t_jac, t_layers, word_ok = time_jacobian(rng, ring, n)
-            layers = "-" if t_layers is None else f"{t_layers * 1e3:.1f}"
-            print(f"{name:<5} {n:>2} {t_inv * 1e3:>11.3f} {t_jac * 1e3:>12.1f}"
+            layers = "-" if t_layers is None else f"{t_layers * 1e3:.2f}"
+            print(f"{name:<5} {n:>2} {t_inv * 1e3:>11.3f} {t_jac * 1e3:>12.2f}"
                   f" {layers:>10}  {'yes' if inv_ok and word_ok else 'NO'}",
                   flush=True)
     return 0

@@ -19,7 +19,8 @@ j in mask2) with i > j: with ``q`` the suffix-parity mask of ``mask1`` (bit j
 set when mask1 has an odd number of bits above j), it is
 ``(mask2 & q).bit_count() & 1``.  Sums of scalar multiples of elements go the
 same way through ``lincomb``, and sums of products, optionally cut at a
-degree, through ``dot``.
+degree, through ``dot``, whose accumulation loop ``add_products`` also
+serves callers that keep adding into one numerator dict.
 """
 
 from __future__ import annotations
@@ -171,20 +172,28 @@ def lincomb(ring: Ring, n: int, pairs, den: int = 1) -> "GrassmannElement":
 def dot(ring: Ring, n: int, pairs, cap: int,
         start: "GrassmannElement | None" = None) -> "GrassmannElement":
     """``start`` plus the sum of a * b over (element, element) pairs, up to
-    degree ``cap``.
-
-    Accumulates integer numerators over the running lcm of the pairs'
-    denominators, as ``lincomb`` does, with the suffix-parity signs of the
-    product.  A left term of degree above ``cap`` is skipped, and so is every
-    right term that would lift it above ``cap``, before any product is
-    formed; with ``cap >= n`` the sum is exact.  ``start`` is added uncut.
-    """
+    degree ``cap`` (``add_products``).  ``start`` is added uncut."""
     if start is None:
         out: dict[int, int] = {}
         big = 1
     else:
         out = dict(start.num)
         big = start.den
+    return from_num(ring, n, out, add_products(out, big, pairs, cap))
+
+
+def add_products(out: dict, big: int, pairs, cap: int) -> int:
+    """Add the sum of a * b over (element, element) pairs, up to degree
+    ``cap``, into the numerators ``out`` over ``big``, in place, and return
+    the new denominator.
+
+    Accumulates integer numerators over the running lcm of the pairs'
+    denominators, as ``lincomb`` does, with the suffix-parity signs of the
+    product; ``out`` is rescaled when the lcm grows.  A left term of degree
+    above ``cap`` is skipped, and so is every right term that would lift it
+    above ``cap``, before any product is formed; with ``cap >= n`` the sum is
+    exact.  Nothing is reduced: ``from_num`` makes the result canonical.
+    """
     for a, b in pairs:
         if not a.num or not b.num:
             continue
@@ -215,7 +224,7 @@ def dot(ring: Ring, n: int, pairs, cap: int,
                 m = m1 | m2
                 acc = out.get(m)
                 out[m] = c if acc is None else acc + c
-    return from_num(ring, n, out, big)
+    return big
 
 
 def same_algebra(a, b) -> bool:
@@ -523,7 +532,8 @@ def invert_unit(e: GrassmannElement) -> GrassmannElement:
         if not power:
             break
         acc = acc + power
-    return acc.scale(lam_inv)
+    # after the first pass of an elimination every pivot has lam = 1
+    return acc if lam_inv == 1 else acc.scale(lam_inv)
 
 
 # -- text grammar --------------------------------------------------------

@@ -16,10 +16,12 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from math import lcm
+from operator import and_
 
 from .algebra import (
     DimensionMismatchError,
     GrassmannElement,
+    add_products,
     format_element,
     element_to_json,
     dot,
@@ -246,9 +248,11 @@ class Endomorphism:
         The entries are even, hence central, so the determinant is computed
         by elimination over that commutative local ring (``_eliminate``):
         scalar Gauss-Jordan on the linear part, then Gaussian elimination on
-        unit pivots, O(n^3) element products.  Only a trailing block without
-        any unit entry, left when the linear part is singular, goes to the
-        cofactor expansion.
+        unit pivots, O(n^3) element products accumulated in place on int
+        numerators, with the products that vanish by a shared generator
+        skipped unformed.  Only a trailing block without any unit entry,
+        left when the linear part is singular, goes to the cofactor
+        expansion.
         """
         if self._jac is None:
             matrix = self._skew_matrix()
@@ -474,8 +478,17 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False,
        of their columns becomes nilpotent, which keeps the products of the
        second pass sparse.
     2. Elimination of those r columns, dividing by the pivots with
-       ``invert_unit``: O(n^3) element products, each row operation
-       ``a - f * b`` one ``dot`` call started at ``a``.
+       ``invert_unit``: O(n^3) element products.  A pivot that is exactly 1
+       is neither inverted nor multiplied into the determinant.  The row
+       operations ``a - f * b`` work in place on int numerators: the first
+       update of an entry copies its numerators into a ``[num, den]``
+       accumulator, and every update adds ``-f * b`` into it with
+       ``add_products``, the loop behind ``dot``.  An accumulator is reduced
+       once (``_settle``), when it is read as a pivot-row entry or a
+       multiplier f, or returned.  The update is skipped when a generator
+       occurs in every term of f and every term of b, so that every product
+       of terms vanishes; that catches most of the zero products on sparse
+       maps.
 
     The pivot search covers the whole remaining block, so the block left
     without unit entries is nilpotent; its determinant is the cofactor
@@ -513,28 +526,50 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False,
         for row, t_row, d in zip(rows, t, dens):
             row.extend(from_num(ring, n, {0: x}, d) for x in t_row)
     det = GrassmannElement.scalar(ring, n, scalar)
+    one = GrassmannElement.one(ring, n)
     width = len(rows[0])
     for k in range(rank):
         pivot_row = rows[k]
-        det = det * pivot_row[k]
-        pivot_inv = invert_unit(pivot_row[k])
-        # column k is never read again, so it is left uncleared
-        for j in range(k + 1, width):
-            if pivot_row[j]:
-                pivot_row[j] = pivot_row[j] * pivot_inv
-        for i in range(0 if inverse else k + 1, size):
-            row = rows[i]
-            f = row[k]
-            if i == k or not f:
-                continue
-            minus_f = -f
+        for j in range(k, width):
+            pivot_row[j] = _settle(ring, n, pivot_row[j])
+        pivot = pivot_row[k]
+        if pivot != one:
+            det = det * pivot
+            pivot_inv = invert_unit(pivot)
+            # column k is never read again, so it is left uncleared
             for j in range(k + 1, width):
                 if pivot_row[j]:
-                    # row[j] - f * pivot_row[j] in one accumulation
-                    row[j] = dot(ring, n, ((minus_f, pivot_row[j]),), n, row[j])
+                    pivot_row[j] = pivot_row[j] * pivot_inv
+        # (column, entry, the bits common to all of the entry's masks)
+        targets = [(j, b, reduce(and_, b.num))
+                   for j in range(k + 1, width) if (b := pivot_row[j])]
+        for i in range(0 if inverse else k + 1, size):
+            if i == k:
+                continue
+            row = rows[i]
+            f = _settle(ring, n, row[k])
+            if not f:
+                continue
+            common = reduce(and_, f.num)
+            minus_f = -f
+            for j, b, b_common in targets:
+                if common & b_common:
+                    continue  # every term of f meets every term of b
+                acc = row[j]
+                if type(acc) is not list:
+                    acc = row[j] = [dict(acc.num), acc.den]
+                acc[1] = add_products(acc[0], acc[1], ((minus_f, b),), n)
     if rank < size:
-        det = det * _det_central(ring, n, [row[rank:] for row in rows[rank:]])
-    return det, ([row[size:] for row in rows] if inverse else None)
+        det = det * _det_central(ring, n, [[_settle(ring, n, e) for e in row[rank:]]
+                                           for row in rows[rank:]])
+    return det, ([[_settle(ring, n, e) for e in row[size:]] for row in rows]
+                 if inverse else None)
+
+
+def _settle(ring: Ring, n: int, entry) -> GrassmannElement:
+    """An entry of pass 2 of ``_eliminate`` as an element: a ``[num, den]``
+    accumulator is reduced with ``from_num``, an element is returned as is."""
+    return from_num(ring, n, *entry) if type(entry) is list else entry
 
 
 def _det_central(ring: Ring, n: int, matrix) -> GrassmannElement:

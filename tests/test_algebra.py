@@ -354,7 +354,9 @@ class TestDot:
                 a, f, b = (GrassmannElement(ring, n, {rng.randrange(1 << n): rng.choice(coeffs)
                                                       for _ in range(4)})
                            for _ in range(3))
+                num = dict(a.num)
                 assert dot(ring, n, [(-f, b)], n, a) == a - f * b
+                assert a.num == num  # the start's numerators are copied
                 for cap in self.caps(n):
                     assert dot(ring, n, [(f, b)], cap, a) == a + self.oracle(
                         ring, n, [(f, b)], cap)

@@ -9,6 +9,9 @@ from conftest import brute_force_product, composed_iteration_inverse
 from grassmann.algebra import (
     DimensionMismatchError,
     GrassmannElement,
+    add_products,
+    dot,
+    invert_unit,
     lincomb,
     parse_element,
 )
@@ -39,6 +42,7 @@ from grassmann.sampling import (
     random_element,
     random_gamma,
     random_gamma_gl,
+    random_invertible_matrix,
     random_linear,
     random_odd,
     random_omega,
@@ -664,6 +668,133 @@ class TestEliminationKernel:
         assert sigma.jacobian().det == GrassmannElement.zero(ring, 2)
         with pytest.raises(NotInvertibleError, match="linear part is singular"):
             sigma.dual_skew_partial(1, gen(ring, 2, 1))
+
+    # -- pass 2: in-place accumulators, the zero-product screen, unit pivots
+
+    @staticmethod
+    def check_both_modes(ring, n, matrix):
+        """Both modes of ``_eliminate`` against ``_det_central``, which is
+        returned; the inverse rows, when the matrix is invertible, multiply
+        back to I."""
+        want = _det_central(ring, n, matrix)
+        assert _eliminate(ring, n, matrix)[0] == want
+        if not ring.is_unit(want.constant_term()):
+            with pytest.raises(NotInvertibleError):
+                _eliminate(ring, n, matrix, inverse=True)
+            return want
+        det, inv = _eliminate(ring, n, matrix, inverse=True)
+        assert det == want
+        size = len(matrix)
+        for i in range(size):
+            for j in range(size):
+                got = dot(ring, n, ((matrix[i][t], inv[t][j]) for t in range(size)), n)
+                assert got == GrassmannElement.scalar(ring, n, int(i == j))
+        return want
+
+    @staticmethod
+    def parse_matrix(ring, n, rows):
+        return [[parse_element(ring, n, text) for text in row] for row in rows]
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_screen_skips_products_that_vanish(self, ring, monkeypatch):
+        # pivot 0 is 1: row 1's multiplier x1x3 meets both x1x2 and x3x4 in
+        # a generator, so both of its products are skipped, and row 2's x1x5
+        # is skipped against x1x2 only.  Two products are formed:
+        # x1x5 * x3x4 at pivot 0 and x1x4 * x5x6 at pivot 1
+        calls = []
+
+        def counting(out, big, pairs, cap):
+            pairs = list(pairs)
+            calls.append(len(pairs))
+            return add_products(out, big, pairs, cap)
+
+        n = 6
+        matrix = self.parse_matrix(ring, n, [
+            ["1", "x1x2", "x3x4"],
+            ["x1x3", "1", "x5x6"],
+            ["x1x5", "x1x4", "1"]])
+        monkeypatch.setattr(endo_module, "add_products", counting)
+        det, _ = _eliminate(ring, n, matrix)
+        assert calls == [1, 1]
+        assert det == parse_element(ring, n, "1 - x1x3x4x5 - x1x4x5x6")
+        self.check_both_modes(ring, n, matrix)
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_screen_keeps_partly_overlapping_products(self, ring):
+        # every term of the multiplier holds x1, but only one term of the
+        # pivot-row entry does: f * b = x1x2x5x6 + x1x3x5x6 must be kept
+        n = 6
+        matrix = self.parse_matrix(ring, n, [
+            ["1", "x1x4 + x5x6"],
+            ["x1x2 + x1x3", "1"]])
+        want = parse_element(ring, n, "1 - x1x2x5x6 - x1x3x5x6")
+        assert _eliminate(ring, n, matrix)[0] == want
+        self.check_both_modes(ring, n, matrix)
+        # the same overlap pattern in a block with constant part diag(2, 1, 5),
+        # so pass 1 rebuilds rows 0 and 2 before pass 2 runs
+        matrix = self.parse_matrix(ring, n, [
+            ["2 + x2x3", "x1x4 + x5x6", "x2x4"],
+            ["x1x2 + x1x3", "1 + x4x6", "x1x5 + x2x6"],
+            ["x1x6", "x2x5 + x1x3", "5"]])
+        assert _eliminate(ring, n, matrix)[0].degrees() - {0}
+        self.check_both_modes(ring, n, matrix)
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_exact_one_pivots_skip_inversion(self, ring, monkeypatch):
+        # after pass 1 every pivot is 1 + nilpotent; pivots 0 and 1 stay
+        # exactly 1 (x1x5 * x1x2 vanishes) and pivot 2 does not, so one
+        # pivot is inverted per mode
+        calls = []
+
+        def counting(e):
+            calls.append(e)
+            return invert_unit(e)
+
+        n = 6
+        matrix = self.parse_matrix(ring, n, [
+            ["1", "x1x2", "x3x4"],
+            ["x1x5", "1", "x2x6"],
+            ["x2x4", "x2x6", "1 + x1x5"]])
+        monkeypatch.setattr(endo_module, "invert_unit", counting)
+        self.check_both_modes(ring, n, matrix)
+        assert len(calls) == 2
+        assert all(e != GrassmannElement.one(ring, n) for e in calls)
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_sparse_shift_linear_maps(self, ring, n):
+        # the shape of the jacobian_qq inputs: most products vanish
+        rng = spawn(41, "kernel-sparse", n, str(ring))
+        for terms in (2, 3):
+            gamma = random_gamma(rng, ring, n, terms=terms)
+            sigma = gamma.compose(linear_endo(ring, random_invertible_matrix(rng, ring, n)))
+            jac = sigma.jacobian()
+            assert jac.det == self.check_both_modes(ring, n, jac.matrix)
+
+    def test_jacobian_leaves_the_matrix_entries_alone(self, ring):
+        # identity rows of pass 1 share their element objects with the
+        # matrix, so pass 2 must copy numerators before it accumulates;
+        # _dual_data runs the inverse elimination on jac.matrix itself
+        rng = spawn(41, "kernel-alias", str(ring))
+        for n in (5, 7):
+            for sigma in (random_sigma_word(rng, ring, n, length=3),
+                          random_gamma(rng, ring, n, terms=3),
+                          random_gamma_gl(rng, ring, n)):
+                jac = sigma.jacobian()
+                sigma._dual_data()
+                fresh = Endomorphism(sigma.images, check=False)._skew_matrix()
+                assert jac.matrix == fresh
+
+    def test_inverse_elimination_leaves_its_input_alone(self, ring):
+        rng = spawn(41, "kernel-alias-inverse", str(ring))
+        for n in (5, 7):
+            one = GrassmannElement.one(ring, n)
+            zero = GrassmannElement.zero(ring, n)
+            matrix = [[random_element(rng, ring, n, degrees=range(2, n + 1, 2), terms=3)
+                       + (one if i == j else zero) for j in range(n)] for i in range(n)]
+            before = [[(dict(e.num), e.den) for e in row] for row in matrix]
+            _eliminate(ring, n, matrix, inverse=True)
+            assert [[(e.num, e.den) for e in row] for row in matrix] == before
 
 
 class TestDualDerivatives:
