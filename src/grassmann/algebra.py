@@ -13,6 +13,8 @@ read it directly, and every operation works on ints and ends with one
 ``from_num`` (one gcd) instead of one coefficient object per term.  ``terms``
 is the boundary to field elements: it maps masks to ``Fraction`` coefficients
 over QQ (built once per element and cached) and is ``num`` itself over GF(p).
+The text codec (``parse_element``, ``format_element``, ``element_to_json``)
+reads and writes ``num`` and ``den`` directly and never builds ``terms``.
 
 The sign of ``mask1 * mask2`` is the parity of the pairs (i in mask1,
 j in mask2) with i > j: with ``q`` the suffix-parity mask of ``mask1`` (bit j
@@ -30,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .rings import Coefficient, NotAUnitError, Ring
+from .rings import Coefficient, NotAUnitError, Ring, parse_ratio
 
 MAX_GENERATORS = 16
 
@@ -73,8 +75,15 @@ def indices_mask(indices: Iterable[int]) -> int:
     return mask
 
 
+# mask -> monomial text, filled on demand (at most 2^MAX_GENERATORS names)
+_MASK_NAMES: dict[int, str] = {0: "1"}
+
+
 def mask_str(mask: int) -> str:
-    return "".join(f"x{i}" for i in mask_indices(mask)) if mask else "1"
+    name = _MASK_NAMES.get(mask)
+    if name is None:
+        name = _MASK_NAMES[mask] = "".join(f"x{i}" for i in mask_indices(mask))
+    return name
 
 
 def wrap(ring: Ring, n: int, num: dict, den: int = 1) -> "GrassmannElement":
@@ -542,122 +551,158 @@ def invert_unit(e: GrassmannElement) -> GrassmannElement:
 # term     := coeff ['*' monomial] | monomial
 # coeff    := int | int '/' int
 # monomial := ('x' digits)+             e.g.  1 - 3/2*x1x3 + x2x4
+#
+# A monomial written out of ascending order is the product of its generators
+# in the written order: x2x1 reads as -x1x2.
 
 _TOKEN = re.compile(r"[+-]|(?:\d+(?:/\d+)?)|(?:(?:x\d+)+)|\*")
-_MONO = re.compile(r"x(\d+)")
 
 
 def parse_element(ring: Ring, n: int, text: str) -> GrassmannElement:
+    """The element written in ``text`` (the grammar above), read straight into
+    int numerators: over QQ they accumulate over the running lcm of the
+    coefficient denominators, as ``lincomb`` does, over GF(p) as residues.
+    A mask whose sum cancels is dropped, and goes to the end if it comes
+    back, as when the terms are added one at a time."""
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty element expression")
-    pos = 0
-    tokens = []
-    for match in _TOKEN.finditer(compact):
-        if match.start() != pos:
-            raise ValueError(f"cannot parse element near {compact[pos:]!r}")
-        tokens.append(match.group())
-        pos = match.end()
-    if pos != len(compact):
+    tokens = _TOKEN.findall(compact)
+    if "".join(tokens) != compact:  # the matches leave a gap: report the first
+        pos = 0
+        for match in _TOKEN.finditer(compact):
+            if match.start() != pos:
+                break
+            pos = match.end()
         raise ValueError(f"cannot parse element near {compact[pos:]!r}")
 
     check_n(n)  # rejects a bad n before any term
-    terms = {}
     p = ring.modulus
+    out: dict[int, int] = {}
+    big = 1
+    count = len(tokens)
     i = 0
-    while i < len(tokens):
+    while i < count:
         negative = False
-        while i < len(tokens) and tokens[i] in "+-":
-            if tokens[i] == "-":
+        tok = tokens[i]
+        while tok == "+" or tok == "-":
+            if tok == "-":
                 negative = not negative
             i += 1
-        if i >= len(tokens):
-            raise ValueError("dangling sign in element expression")
-        coeff = ring.one
+            if i == count:
+                raise ValueError("dangling sign in element expression")
+            tok = tokens[i]
+        a = q = 1
         mask = 0
-        tok = tokens[i]
         if tok[0].isdigit():
-            coeff = ring.parse(tok)
+            if "/" in tok:
+                a, q = parse_ratio(ring, tok)
+            else:
+                a = int(tok)
             i += 1
-            if i < len(tokens) and tokens[i] == "*":
+            if i < count and tokens[i] == "*":
                 i += 1
-                if i == len(tokens) or tokens[i][0] != "x":
+                if i == count or tokens[i][0] != "x":
                     raise ValueError("'*' must be followed by a monomial")
-            if i < len(tokens) and tokens[i][0] == "x":
-                mask = _parse_monomial(tokens[i], n)
+            if i < count and tokens[i][0] == "x":
+                mask, sign = _read_monomial(tokens[i], n)
+                a *= sign
                 i += 1
         elif tok[0] == "x":
-            mask = _parse_monomial(tok, n)
+            mask, a = _read_monomial(tok, n)
             i += 1
         else:
             raise ValueError(f"unexpected token {tok!r}")
         if negative:
-            coeff = -coeff
-        coeff = ring.normalize(coeff)
-        if coeff == 0:
+            a = -a
+        if p is not None:
+            a = (a if q == 1 else a * pow(q, -1, p)) % p
+        elif a and q != 1:
+            if big % q:
+                grow = q // gcd(big, q)
+                big *= grow
+                for m in out:
+                    out[m] *= grow
+            a *= big // q
+        elif big != 1:
+            a *= big
+        if not a:
             continue
-        # same insertion order as adding the monomials one at a time
-        acc = terms.get(mask)
+        acc = out.get(mask)
         if acc is not None:
-            coeff = acc + coeff
+            a += acc
             if p is not None:
-                coeff %= p
-        if coeff == 0:
-            del terms[mask]
-        else:
-            terms[mask] = coeff
-    num, den = _split(ring, terms)
-    return wrap(ring, n, num, den)
+                a %= p
+            if not a:
+                del out[mask]
+                continue
+        out[mask] = a
+    return from_num(ring, n, out, big)
 
 
-def _parse_monomial(text: str, n: int) -> int:
+def _read_monomial(text: str, n: int) -> tuple[int, int]:
+    """``(mask, sign)`` of a monomial token: the product of its generators in
+    the written order is sign times the ascending monomial of mask."""
     mask = 0
-    for m in _MONO.finditer(text):
-        i = int(m.group(1))
+    sign = 1
+    for digits in text[1:].split("x"):
+        i = int(digits)
         if not 1 <= i <= n:
             raise ValueError(f"generator x{i} out of range for n={n}")
         bit = 1 << (i - 1)
         if mask & bit:
             # a repeated generator squares to zero; reject rather than silently drop
             raise ValueError(f"repeated generator x{i} in monomial {text!r}")
+        above = mask >> i  # generators already written that x{i} moves past
+        if above and above.bit_count() & 1:
+            sign = -sign
         mask |= bit
-    return mask
+    return mask, sign
+
+
+def _print_key(mask: int) -> int:
+    """Print order: by degree, then by mask (masks stay below 2^16)."""
+    return mask.bit_count() << 16 | mask
+
+
+def _printed_terms(e: GrassmannElement) -> list[tuple[int, str]]:
+    """``(mask, coefficient text)`` of each term of e, in print order: the one
+    term order and coefficient text of ``format_element`` and
+    ``element_to_json``, read from the numerators."""
+    num, den = e.num, e.den
+    masks = sorted(num, key=_print_key)
+    if den == 1:  # every element over GF(p), whose numerators are residues
+        return [(m, str(num[m])) for m in masks]
+    fmt = e.ring.format_num
+    return [(m, fmt(num[m], den)) for m in masks]
 
 
 def format_element(e: GrassmannElement) -> str:
-    terms = e.terms
+    terms = _printed_terms(e)
     if not terms:
         return "0"
-    ring = e.ring
     parts = []
-    for mask in sorted(terms, key=lambda m: (m.bit_count(), m)):
-        c = terms[mask]
-        text = ring.format(c)
-        negative = text.startswith("-")
-        if negative:
+    for mask, text in terms:
+        if text[0] == "-":
+            sign = " - "
             text = text[1:]
-        if mask == 0:
-            body = text
-        elif text == "1":
-            body = mask_str(mask)
         else:
-            body = f"{text}*{mask_str(mask)}"
-        parts.append(("-" if negative else "+", body))
-    sign, body = parts[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            sign = " + "
+        if mask:
+            name = mask_str(mask)
+            text = name if text == "1" else f"{text}*{name}"
+        parts.append(sign)
+        parts.append(text)
+    parts[0] = "" if parts[0] == " + " else "-"
+    return "".join(parts)
 
 
 def element_to_json(e: GrassmannElement) -> dict:
     return {
         "n": e.n,
         "field": e.ring.name,
-        "terms": [
-            {"mask": m, "monomial": mask_str(m), "coeff": e.ring.format(c)}
-            for m, c in sorted(e.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
-        ],
+        "terms": [{"mask": m, "monomial": mask_str(m), "coeff": text}
+                  for m, text in _printed_terms(e)],
     }
 
 

@@ -28,6 +28,27 @@ class NotAUnitError(ZeroDivisionError):
     """Raised when inverting a non-unit coefficient or element."""
 
 
+class ZeroDenominatorError(NotAUnitError, ValueError):
+    """A written coefficient divides by a denominator that is zero in the
+    field: bad input text, and a division by zero."""
+
+
+def parse_ratio(ring: "Ring", text: str) -> tuple[int, int]:
+    """The ints ``(a, q)`` of a coefficient written ``a`` or ``a/q``.
+
+    ``q`` is nonzero in ``ring``; otherwise ``ZeroDenominatorError`` names
+    the coefficient.  Neither int is reduced.
+    """
+    a, slash, q = text.partition("/")
+    if not slash:
+        return int(a), 1
+    q = int(q)
+    if not (q if ring.modulus is None else q % ring.modulus):
+        raise ZeroDenominatorError(
+            f"coefficient {text!r} has denominator {q}, which is zero in {ring!r}")
+    return int(a), q
+
+
 # Deterministic Miller-Rabin: the prime bases up to 41 decide primality of
 # every integer below _MR_LIMIT (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -84,10 +105,18 @@ class RationalField:
         return 1 / Fraction(c)
 
     def parse(self, text: str) -> Fraction:
-        return Fraction(text)
+        return Fraction(*parse_ratio(self, text))
+
+    def format_num(self, c: int, den: int = 1) -> str:
+        """The text of c / den for ints c and den > 0, as ``str(Fraction)``
+        prints it, from one gcd."""
+        if den == 1:
+            return str(c)
+        g = gcd(c, den)
+        return str(c // g) if g == den else f"{c // g}/{den // g}"
 
     def format(self, c) -> str:
-        return str(c)
+        return self.format_num(*self.normalize(c).as_integer_ratio())
 
     def random(self, rng) -> Fraction:
         return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
@@ -144,10 +173,8 @@ class PrimeField:
         return pow(c, self.modulus - 2, self.modulus)
 
     def parse(self, text: str) -> int:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.normalize(int(num) * self.invert(int(den)))
-        return int(text) % self.modulus
+        a, q = parse_ratio(self, text)
+        return a * self.invert(q) % self.modulus if q != 1 else a % self.modulus
 
     def format(self, c) -> str:
         return str(c % self.modulus)

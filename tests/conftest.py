@@ -1,8 +1,10 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
-from grassmann.algebra import GrassmannElement
+from grassmann.algebra import GrassmannElement, check_n
 from grassmann.endo import identity_endo, linear_endo, shift_endo
 from grassmann.groups import GammaWord, _shift_product
 from grassmann.rings import GF, QQ, mat_inv
@@ -116,3 +118,135 @@ def gamma_word_by_inverse(sigma):
             current = _shift_product(ring, n, shifts).compose(current)
         xis[degree] = shifts
     return GammaWord(phi=current.inverse(), xis=xis)
+
+
+_TOKEN = re.compile(r"[+-]|(?:\d+(?:/\d+)?)|(?:(?:x\d+)+)|\*")
+_MONO = re.compile(r"x(\d+)")
+
+
+def reference_parse_element(ring, n, text):
+    """Reference element parser, independent of the int-numerator reader of
+    ``parse_element``: it reads each coefficient as a field element
+    (``Fraction`` over QQ, a residue over GF(p)), sums the terms into a dict
+    of field elements and hands that to the constructor.  It differs from
+    ``parse_element`` in two ways only: it reads a monomial as its set of
+    generators, whatever the written order, and a zero denominator raises
+    ``ZeroDivisionError`` (``NotAUnitError`` over GF(p)) that names no
+    coefficient."""
+    compact = "".join(text.split())
+    if not compact:
+        raise ValueError("empty element expression")
+    pos = 0
+    tokens = []
+    for match in _TOKEN.finditer(compact):
+        if match.start() != pos:
+            raise ValueError(f"cannot parse element near {compact[pos:]!r}")
+        tokens.append(match.group())
+        pos = match.end()
+    if pos != len(compact):
+        raise ValueError(f"cannot parse element near {compact[pos:]!r}")
+
+    check_n(n)
+    terms = {}
+    p = ring.modulus
+    i = 0
+    while i < len(tokens):
+        negative = False
+        while i < len(tokens) and tokens[i] in "+-":
+            if tokens[i] == "-":
+                negative = not negative
+            i += 1
+        if i >= len(tokens):
+            raise ValueError("dangling sign in element expression")
+        coeff = ring.one
+        mask = 0
+        tok = tokens[i]
+        if tok[0].isdigit():
+            if p is None:
+                coeff = Fraction(tok)
+            else:
+                a, _, q = tok.partition("/")
+                coeff = int(a) * ring.invert(int(q or 1)) % p
+            i += 1
+            if i < len(tokens) and tokens[i] == "*":
+                i += 1
+                if i == len(tokens) or tokens[i][0] != "x":
+                    raise ValueError("'*' must be followed by a monomial")
+            if i < len(tokens) and tokens[i][0] == "x":
+                mask = _reference_monomial(tokens[i], n)
+                i += 1
+        elif tok[0] == "x":
+            mask = _reference_monomial(tok, n)
+            i += 1
+        else:
+            raise ValueError(f"unexpected token {tok!r}")
+        if negative:
+            coeff = -coeff
+        coeff = ring.normalize(coeff)
+        if coeff == 0:
+            continue
+        # same insertion order as adding the monomials one at a time
+        acc = terms.get(mask)
+        if acc is not None:
+            coeff = acc + coeff
+            if p is not None:
+                coeff %= p
+        if coeff == 0:
+            del terms[mask]
+        else:
+            terms[mask] = coeff
+    return GrassmannElement(ring, n, terms)
+
+
+def _reference_monomial(text, n):
+    mask = 0
+    for m in _MONO.finditer(text):
+        i = int(m.group(1))
+        if not 1 <= i <= n:
+            raise ValueError(f"generator x{i} out of range for n={n}")
+        bit = 1 << (i - 1)
+        if mask & bit:
+            raise ValueError(f"repeated generator x{i} in monomial {text!r}")
+        mask |= bit
+    return mask
+
+
+def _reference_name(e, mask):
+    return "".join(f"x{i}" for i in range(1, e.n + 1) if mask >> (i - 1) & 1) or "1"
+
+
+def _reference_terms(e):
+    """(mask, coefficient text) by degree, then mask, printed from the field
+    elements of ``e.terms`` with ``str``."""
+    return [(m, str(c)) for m, c in
+            sorted(e.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))]
+
+
+def reference_format_element(e):
+    """Reference for ``format_element``, built from ``e.terms``."""
+    parts = []
+    for mask, text in _reference_terms(e):
+        negative = text.startswith("-")
+        if negative:
+            text = text[1:]
+        if mask == 0:
+            body = text
+        elif text == "1":
+            body = _reference_name(e, mask)
+        else:
+            body = f"{text}*{_reference_name(e, mask)}"
+        parts.append(("-" if negative else "+", body))
+    if not parts:
+        return "0"
+    sign, body = parts[0]
+    out = body if sign == "+" else f"-{body}"
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def reference_element_to_json(e):
+    """Reference for ``element_to_json``, built from ``e.terms``."""
+    return {"n": e.n, "field": e.ring.name,
+            "terms": [{"mask": m, "monomial": _reference_name(e, m), "coeff": text}
+                      for m, text in _reference_terms(e)]}

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 from math import gcd
@@ -5,7 +6,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_product
+from conftest import (
+    brute_force_product,
+    reference_element_to_json,
+    reference_format_element,
+    reference_parse_element,
+)
 from grassmann.algebra import (
     GrassmannElement,
     component,
@@ -21,7 +27,7 @@ from grassmann.algebra import (
     substitute_zero,
 )
 from grassmann.endo import parse_endomorphism
-from grassmann.rings import GF, QQ, NotAUnitError, PrimeField, _is_prime
+from grassmann.rings import GF, QQ, NotAUnitError, PrimeField, ZeroDenominatorError, _is_prime
 from grassmann.sampling import random_element, random_odd
 from grassmann.skewcalc import skew_partial
 from grassmann.verify import (
@@ -178,6 +184,112 @@ class TestHypothesisRoundTrips:
                     parse(ring, 3, text)
                 except (ValueError, ArithmeticError):
                     pass
+
+
+ORACLE_RINGS = [QQ, GF(3), GF(7)]
+_ORACLE_IDS = ["QQ", "GF3", "GF7"]
+
+
+@st.composite
+def written_texts(draw, ring):
+    """``(n, text, ascending)``: a valid element text with stacked signs,
+    repeated and cancelling masks, a '*' left out, spaces, large numerators
+    and denominators and monomials written in any order; ``ascending`` is
+    the same text with every monomial ascending and an odd reordering
+    written as one more '-', which is how ``parse_element`` reads it."""
+    n = draw(st.integers(1, 12))
+    p = ring.modulus
+    words = draw(st.lists(st.lists(st.integers(1, n), unique=True, max_size=min(n, 4)),
+                          min_size=1, max_size=4))
+    big = st.integers(0, 10 ** 30)
+    den = st.integers(1, 10 ** 30).filter(lambda q: p is None or q % p)
+    coeffs = st.one_of(st.none(), big.map(str), st.tuples(big, den).map(
+        lambda aq: f"{aq[0]}/{aq[1]}"))
+    term = st.tuples(st.lists(st.sampled_from("+-"), max_size=3), coeffs,
+                     st.booleans(), st.integers(0, len(words) - 1))
+    terms = draw(st.lists(term, min_size=1, max_size=10))
+    for k in draw(st.lists(st.integers(0, len(terms) - 1), max_size=3)):
+        signs, coeff, star, w = terms[k]
+        terms.append((["-"] + signs, coeff, star, w))  # cancels term k
+    space = st.sampled_from(["", " ", "  "])
+    written, ascending = [], []
+    for k, (signs, coeff, star, w) in enumerate(terms):
+        word = words[w]
+        if coeff is None and not word:
+            coeff = "1"
+        if k and not signs:
+            signs = ["+"]
+        order = draw(st.permutations(word))
+        odd = sum(a > b for j, a in enumerate(order) for b in order[j + 1:]) & 1
+        for out, mono, extra in ((written, order, []), (ascending, sorted(word), ["-"] * odd)):
+            pieces = extra + signs
+            if coeff is not None:
+                pieces.append(coeff)
+                if mono and star:
+                    pieces.append("*")
+            if mono:
+                pieces.append("".join(f"x{i}" for i in mono))
+            out.append(pieces)
+    gaps = iter(draw(st.lists(space, min_size=200, max_size=200)))
+    join = lambda text: "".join(piece + next(gaps) for term in text for piece in term)
+    return n, join(written), join(ascending)
+
+
+def _ascending_monomials(text):
+    """Whether every monomial in text lists its generators ascending."""
+    for mono in re.findall(r"(?:x\d+)+", "".join(text.split())):
+        indices = [int(i) for i in mono[1:].split("x")]
+        if indices != sorted(indices):
+            return False
+    return True
+
+
+def _outcome(parse, ring, n, text):
+    try:
+        return parse(ring, n, text)
+    except (ValueError, ArithmeticError) as err:
+        return err
+
+
+class TestReferenceCodec:
+    """``parse_element``, ``format_element`` and ``element_to_json`` against
+    the field-element references in ``conftest``."""
+
+    @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=_ORACLE_IDS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_written_texts_match_reference(self, ring, data):
+        n, text, ascending = data.draw(written_texts(ring))
+        got = parse_element(ring, n, text)
+        want = reference_parse_element(ring, n, ascending)
+        assert got == want
+        assert list(got.num) == list(want.num)  # the same term order
+        assert format_element(got) == reference_format_element(got)
+        assert element_to_json(got) == reference_element_to_json(got)
+
+    @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=_ORACLE_IDS)
+    @settings(max_examples=200, deadline=None)
+    @given(text=GRAMMAR_TEXT, n=st.integers(1, 12))
+    def test_grammar_text_matches_reference(self, ring, text, n):
+        got = _outcome(parse_element, ring, n, text)
+        want = _outcome(reference_parse_element, ring, n, text)
+        if isinstance(want, ZeroDivisionError):
+            # the one changed error: a named denominator, still a ZeroDivisionError
+            assert isinstance(got, ZeroDenominatorError) and isinstance(got, type(want))
+        elif isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert isinstance(got, GrassmannElement), got
+            if _ascending_monomials(text):
+                assert got == want and list(got.num) == list(want.num)
+
+    @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=_ORACLE_IDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_format_matches_reference(self, ring, data):
+        e = data.draw(field_elements(ring))
+        assert format_element(e) == reference_format_element(e)
+        assert element_to_json(e) == reference_element_to_json(e)
 
 
 class TestComponents:
@@ -458,6 +570,52 @@ class TestGrammar:
         assert got == ref
         assert list(got.terms.items()) == list(ref.terms.items())
 
+    @pytest.mark.parametrize("word", [(2, 1), (3, 1, 2), (3, 2, 1), (1, 3, 2),
+                                      (4, 2, 3, 1), (2, 4, 1, 3)])
+    def test_shuffled_monomial_is_the_written_product(self, ring, word):
+        n = 4
+        product = GrassmannElement.one(ring, n)
+        for i in word:
+            product = product * gen(ring, n, i)
+        text = "".join(f"x{i}" for i in word)
+        assert parse_element(ring, n, text) == product
+        assert parse_element(ring, n, f"-{text}") == -product
+        assert parse_element(ring, n, f"3/2*{text}") == product.scale(Fraction(3, 2))
+        assert parse_element(ring, n, f"{text} + x1x2x3x4") == product + gen(
+            ring, n, 1) * gen(ring, n, 2) * gen(ring, n, 3) * gen(ring, n, 4)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty element expression"),
+        (" \n ", "empty element expression"),
+        ("x1 + y + x2", "cannot parse element near 'y+x2'"),
+        ("1 + 2.5", "cannot parse element near '.5'"),
+        ("x1 -", "dangling sign in element expression"),
+        ("+ - ", "dangling sign in element expression"),
+        ("*x1", "unexpected token '*'"),
+        ("x1 + *x2", "unexpected token '*'"),
+        ("x5", "generator x5 out of range for n=4"),
+        ("2*x0x1", "generator x0 out of range for n=4"),
+        ("x2x1x2", "repeated generator x2 in monomial 'x2x1x2'"),
+        ("2*3", "'*' must be followed by a monomial"),
+    ])
+    def test_error_messages(self, ring, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_element(ring, 4, text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("ring, coeff, q", [
+        (QQ, "1/0", 0), (QQ, "0/0", 0), (GF(7), "1/7", 7), (GF(7), "3/0", 0),
+        (GF(7), "2/14", 14)], ids=["QQ-1/0", "QQ-0/0", "GF7-1/7", "GF7-3/0", "GF7-2/14"])
+    def test_zero_denominator_is_named(self, ring, coeff, q):
+        message = f"coefficient {coeff!r} has denominator {q}, which is zero in {ring!r}"
+        for text in (f"{coeff}*x1", f"x2 - {coeff}", f"0*x1 + {coeff}*x3"):
+            with pytest.raises(ValueError) as info:
+                parse_element(ring, 3, text)
+            assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            ring.parse(coeff)
+        assert str(info.value) == message
+
     def test_repeated_monomials_examples(self):
         assert parse_element(QQ, 3, "x1 - x1") == GrassmannElement.zero(QQ, 3)
         assert parse_element(QQ, 3, "x2 + x1 + x1") == parse_element(QQ, 3, "2*x1 + x2")
@@ -472,6 +630,17 @@ class TestGrammar:
         got = parse_element(QQ, n, text)
         assert time.perf_counter() - t0 < 1.0
         assert got == e
+
+    def test_format_is_linear_in_the_term_count(self):
+        n = 14
+        e = GrassmannElement(QQ, n, {m: Fraction(m % 7 - 3, 1 + m % 2) or 1
+                                     for m in range(1 << n)})
+        t0 = time.perf_counter()
+        text = format_element(e)
+        data = element_to_json(e)
+        assert time.perf_counter() - t0 < 1.0
+        assert parse_element(QQ, n, text) == e
+        assert element_from_json(QQ, n, data) == e
 
 
 class TestBounds:

@@ -52,6 +52,24 @@ class TestElementCommands:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("field, out", [("rational", "-x1x2x3"),
+                                            ("prime:7", "6*x1x2x3")])
+    def test_shuffled_monomial_keeps_its_sign(self, capsys, field, out):
+        # x2x1 is the product x2 * x1, so the same as `mul x2 x1`
+        assert run_cli(capsys, "mul", "--n", "3", "--field", field,
+                       "x2x1", "x3") == (0, out, "")
+        assert run_cli(capsys, "mul", "--n", "3", "--field", field,
+                       "x2", "x1x3") == (0, out, "")
+
+    @pytest.mark.parametrize("field, coeff, message", [
+        ("rational", "1/0", "coefficient '1/0' has denominator 0, which is zero in QQ"),
+        ("prime:7", "1/0", "coefficient '1/0' has denominator 0, which is zero in GF(7)"),
+        ("prime:7", "1/7", "coefficient '1/7' has denominator 7, which is zero in GF(7)"),
+    ])
+    def test_zero_denominator_named(self, capsys, field, coeff, message):
+        assert run_cli(capsys, "mul", "--n", "2", "--field", field,
+                       f"{coeff}*x1", "x2") == (2, "", f"error: {message}")
+
     @pytest.mark.parametrize("field", ["rational", "prime:7"])
     @pytest.mark.parametrize("text", ["2*3", "2*", "2*-x1"])
     def test_dangling_star_rejected(self, capsys, field, text):

@@ -15,6 +15,7 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 @pytest.mark.parametrize("argv", [
     ["dimension_table.py"],
     ["elim_scaling.py", "4"],
+    ["codec_scaling.py", "4"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):
     # the child imports grassmann from where this process found it
