@@ -592,13 +592,10 @@ def parse_element(ring: Ring, n: int, text: str) -> GrassmannElement:
             if i == count:
                 raise ValueError("dangling sign in element expression")
             tok = tokens[i]
-        a = q = 1
+        q = 1
         mask = 0
         if tok[0].isdigit():
-            if "/" in tok:
-                a, q = parse_ratio(ring, tok)
-            else:
-                a = int(tok)
+            a, q = parse_ratio(ring, tok)
             i += 1
             if i < count and tokens[i] == "*":
                 i += 1
