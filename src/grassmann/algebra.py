@@ -99,7 +99,19 @@ def wrap(ring: Ring, n: int, num: dict, den: int = 1) -> "GrassmannElement":
 
 
 def from_num(ring: Ring, n: int, acc: dict, den: int = 1) -> "GrassmannElement":
-    """The element acc[mask] / den in canonical form.
+    """The element acc[mask] / den in canonical form (``reduce_num``); the
+    body of ``wrap`` is inlined, as this builds every computed element."""
+    e = _new(GrassmannElement)
+    e.ring = ring
+    e.n = n
+    e.num, e.den = reduce_num(ring, acc, den)
+    e._terms = None
+    e._hash = None
+    return e
+
+
+def reduce_num(ring: Ring, acc: dict, den: int = 1) -> tuple[dict, int]:
+    """``(num, den)`` of acc[mask] / den in canonical form.
 
     Zero numerators are dropped; over QQ the denominator is made positive and
     coprime to the numerators with one gcd, over GF(p) the numerators are
@@ -110,7 +122,7 @@ def from_num(ring: Ring, n: int, acc: dict, den: int = 1) -> "GrassmannElement":
         if den != 1:
             inv = ring.invert(den)
             acc = {m: c * inv for m, c in acc.items()}
-        return wrap(ring, n, {m: cb for m, c in acc.items() if (cb := c % p)})
+        return {m: cb for m, c in acc.items() if (cb := c % p)}, 1
     if 0 in acc.values():
         acc = {m: c for m, c in acc.items() if c}
     if den != 1:
@@ -121,7 +133,7 @@ def from_num(ring: Ring, n: int, acc: dict, den: int = 1) -> "GrassmannElement":
         if g != 1:
             den //= g
             acc = {m: c // g for m, c in acc.items()}
-    return wrap(ring, n, acc, den)
+    return acc, den
 
 
 def restrict(e: "GrassmannElement", num: dict) -> "GrassmannElement":
@@ -188,33 +200,35 @@ def dot(ring: Ring, n: int, pairs, cap: int,
     else:
         out = dict(start.num)
         big = start.den
-    return from_num(ring, n, out, add_products(out, big, pairs, cap))
+    return from_num(ring, n, out, add_products(
+        out, big, (((a.num, a.den), (b.num, b.den)) for a, b in pairs), cap))
 
 
 def add_products(out: dict, big: int, pairs, cap: int) -> int:
-    """Add the sum of a * b over (element, element) pairs, up to degree
-    ``cap``, into the numerators ``out`` over ``big``, in place, and return
-    the new denominator.
+    """Add the sum of a * b, up to degree ``cap``, into the numerators
+    ``out`` over ``big``, in place, and return the new denominator.
 
+    Each of ``pairs`` is ``((a_num, a_den), (b_num, b_den))``, the two
+    factors as numerator dicts over positive denominators, canonical or not.
     Accumulates integer numerators over the running lcm of the pairs'
     denominators, as ``lincomb`` does, with the suffix-parity signs of the
     product; ``out`` is rescaled when the lcm grows.  A left term of degree
     above ``cap`` is skipped, and so is every right term that would lift it
     above ``cap``, before any product is formed; with ``cap >= n`` the sum is
-    exact.  Nothing is reduced: ``from_num`` makes the result canonical.
+    exact.  Nothing is reduced: ``reduce_num`` makes the result canonical.
     """
-    for a, b in pairs:
-        if not a.num or not b.num:
+    for (a_num, a_den), (b_num, b_den) in pairs:
+        if not a_num or not b_num:
             continue
-        right = b.num.items()
-        d = a.den * b.den
+        right = b_num.items()
+        d = a_den * b_den
         if big % d:
             grow = lcm(big, d) // big
             big *= grow
             for m in out:
                 out[m] *= grow
         s = big // d
-        for m1, c1 in a.num.items():
+        for m1, c1 in a_num.items():
             room = cap - m1.bit_count()
             if room < 0:
                 continue
@@ -234,6 +248,13 @@ def add_products(out: dict, big: int, pairs, cap: int) -> int:
                 acc = out.get(m)
                 out[m] = c if acc is None else acc + c
     return big
+
+
+def mul_num(ring: Ring, a: tuple, b: tuple, cap: int) -> tuple[dict, int]:
+    """``(num, den)`` of a * b up to degree ``cap``, canonical, for factors
+    given as ``(num, den)`` pairs (``add_products``, ``reduce_num``)."""
+    out: dict[int, int] = {}
+    return reduce_num(ring, out, add_products(out, 1, ((a, b),), cap))
 
 
 def same_algebra(a, b) -> bool:
@@ -521,28 +542,41 @@ def substitute_zero(e: GrassmannElement, indices: Iterable[int]) -> GrassmannEle
 
 
 def invert_unit(e: GrassmannElement) -> GrassmannElement:
-    """Invert a unit: constant part must be a unit of K.
-
-    Writes e = lam (1 - f), with f nilpotent (f^(n+1) = 0) and read off the
-    numerators as f = -(num - c0) / c0 for the constant numerator c0, and
-    evaluates the geometric series lam^-1 * sum(f^k, k = 0..n).
-    """
-    ring, n = e.ring, e.n
+    """Invert a unit: constant part must be a unit of K (``invert_num``)."""
+    ring = e.ring
     lam = e.constant_term()
     if not ring.is_unit(lam):
         raise NotAUnitError(f"constant term {lam!r} is not a unit")
-    lam_inv = ring.invert(lam)
-    c0 = e.num[0]
-    rest = {m: -c for m, c in e.num.items() if m}
-    factor = from_num(ring, n, rest, c0)
-    acc = power = GrassmannElement.one(ring, n)
-    for _ in range(n):
-        power = power * factor
-        if not power:
+    return wrap(ring, e.n, *invert_num(ring, e.n, e.num, e.den))
+
+
+_ONE = ({0: 1}, 1)  # the numerators of 1
+
+
+def invert_num(ring: Ring, n: int, num: dict, den: int) -> tuple[dict, int]:
+    """``(num, den)`` of the inverse of the unit num[mask] / den, whose
+    constant numerator c0 = num[0] must be a unit; canonical on return.
+
+    Writes e = lam (1 - f), with lam = c0 / den and f = -(num - c0) / c0
+    nilpotent (f^(n+1) = 0), and evaluates lam^-1 * (1 + f + ... + f^n).
+    The sum is one numerator accumulator that starts at f; each power is
+    the previous one times f (``mul_num``), added in with
+    ``add_products``, and the series stops at the first zero power.
+    """
+    c0 = num[0]
+    f = reduce_num(ring, {m: -c for m, c in num.items() if m}, c0)
+    acc, big = dict(f[0]), f[1]
+    power = f
+    for _ in range(n - 1):
+        power = mul_num(ring, power, f, n)
+        if not power[0]:
             break
-        acc = acc + power
+        big = add_products(acc, big, ((power, _ONE),), n)
+    acc[0] = acc.get(0, 0) + big
     # after the first pass of an elimination every pivot has lam = 1
-    return acc if lam_inv == 1 else acc.scale(lam_inv)
+    if c0 == den:
+        return reduce_num(ring, acc, big)
+    return reduce_num(ring, {m: c * den for m, c in acc.items()}, big * c0)
 
 
 # -- text grammar --------------------------------------------------------
@@ -704,7 +738,31 @@ def element_to_json(e: GrassmannElement) -> dict:
 
 
 def element_from_json(ring: Ring, n: int, data: dict) -> GrassmannElement:
-    terms = {}
+    """The element of an ``element_to_json`` record, its coefficients read
+    with ``parse_ratio`` straight into int numerators, as ``parse_element``
+    reads them.  A mask may occur once."""
+    check_n(n)
+    p = ring.modulus
+    limit = 1 << n
+    out: dict[int, int] = {}
+    big = 1
     for entry in data["terms"]:
-        terms[int(entry["mask"])] = ring.parse(entry["coeff"])
-    return GrassmannElement(ring, n, terms)
+        mask = int(entry["mask"])
+        if not 0 <= mask < limit:
+            raise ValueError(f"mask {mask} out of range for n={n}")
+        if mask in out:
+            raise ValueError(f"mask {mask} occurs twice in the terms")
+        a, q = parse_ratio(ring, entry["coeff"])
+        if p is not None:
+            a = (a if q == 1 else a * pow(q, -1, p)) % p
+        elif q != 1:
+            if big % q:
+                grow = q // gcd(big, q)
+                big *= grow
+                for m in out:
+                    out[m] *= grow
+            a *= big // q
+        else:
+            a *= big
+        out[mask] = a
+    return from_num(ring, n, out, big)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
 from operator import and_
 
@@ -27,10 +27,12 @@ from .algebra import (
     dot,
     even_part,
     from_num,
+    invert_num,
     invert_unit,
     lincomb,
-    odd_part,
+    mul_num,
     parse_element,
+    reduce_num,
     restrict,
     same_algebra,
 )
@@ -157,7 +159,8 @@ class Endomorphism:
         building the inverse map.
 
         sigma is unipotent when its linear part is I and no image has a
-        constant term: sigma = id + N with N raising the least degree, so
+        constant term, both read off the numerators:
+        sigma = id + N with N raising the least degree, so
         sigma^-1 = sum over k <= n of (-N)^k, the Neumann series.  Each step
         adds the residual r to the result and replaces it by
         r - sigma(r) = -N(r), every step drawing on one ``_Products`` table
@@ -168,7 +171,7 @@ class Endomorphism:
         map raises ``NotUnipotentError`` before any product is formed.
         """
         n = self.n
-        if not _is_identity(self.linear_part()) or any(
+        if not _linear_part_is_identity(self.images) or any(
                 0 in im.num for im in self.images):
             raise NotUnipotentError(
                 "the Neumann series needs linear part I and no constant terms")
@@ -238,7 +241,14 @@ class Endomorphism:
                    for i, im in enumerate(self.images))
 
     def has_odd_images(self) -> bool:
-        return all(im == odd_part(im) for im in self.images)
+        """Whether every term of every image has odd degree, read off the
+        masks."""
+        return all(m.bit_count() & 1 for im in self.images for m in im.num)
+
+    def _check_odd_images(self) -> None:
+        if not self.has_odd_images():
+            raise ParityError(
+                "Jacobian requires purely odd images (entries must be central)")
 
     # -- Jacobian ------------------------------------------------------------
 
@@ -246,29 +256,23 @@ class Endomorphism:
         """The matrix J[i][j] = d_j(images[i]), its determinant and valuation.
 
         The entries are even, hence central, so the determinant is computed
-        by elimination over that commutative local ring (``_eliminate``):
-        scalar Gauss-Jordan on the linear part, then Gaussian elimination on
-        unit pivots, O(n^3) element products accumulated in place on int
+        by elimination over that commutative local ring (``_eliminate``),
+        straight from the images: scalar Gauss-Jordan on the linear part,
+        then Gaussian elimination on unit pivots, O(n^3) products of int
         numerators, with the products that vanish by a shared generator
         skipped unformed.  Only a trailing block without any unit entry,
         left when the linear part is singular, goes to the cofactor
-        expansion.
+        expansion.  The matrix itself is built on its first read.
         """
         if self._jac is None:
-            matrix = self._skew_matrix()
-            det, _ = _eliminate(self.ring, self.n, matrix, images=self.images)
-            self._set_jacobian(matrix, det)
+            self._check_odd_images()
+            det, _ = _eliminate(self.ring, self.n, images=self.images)
+            self._set_jacobian(det)
         return self._jac
 
-    def _skew_matrix(self):
-        if not self.has_odd_images():
-            raise ParityError(
-                "Jacobian requires purely odd images (entries must be central)")
-        return [[skew_partial(j + 1, im) for j in range(self.n)]
-                for im in self.images]
-
-    def _set_jacobian(self, matrix, det) -> None:
-        self._jac = JacobianData(matrix=matrix, det=det, valuation=_valuation(det))
+    def _set_jacobian(self, det) -> None:
+        self._jac = JacobianData(det=det, valuation=_valuation(det),
+                                 images=self.images)
 
     def _dual_data(self):
         """Rows of the transposed inverse Jacobian, cached for dual derivatives.
@@ -280,12 +284,11 @@ class Endomorphism:
         still empty.
         """
         if self._dual is None:
-            matrix = (self._skew_matrix() if self._jac is None
-                      else self._jac.matrix)
-            det, inv = _eliminate(self.ring, self.n, matrix, inverse=True,
+            self._check_odd_images()
+            det, inv = _eliminate(self.ring, self.n, inverse=True,
                                   images=self.images)
             if self._jac is None:
-                self._set_jacobian(matrix, det)
+                self._set_jacobian(det)
             self._dual = [list(col) for col in zip(*inv)]
         return self._dual
 
@@ -336,11 +339,10 @@ class Endomorphism:
         """
         ring, n = self.ring, self.n
         gens = [GrassmannElement.generator(ring, n, i) for i in range(1, n + 1)]
-        a_mat = self.linear_part()
-        if _is_identity(a_mat):
+        if _linear_part_is_identity(self.images):
             return Endomorphism(self.apply_inverse_all(gens), check=False)
         try:
-            a_inv = mat_inv(ring, a_mat)
+            a_inv = mat_inv(ring, self.linear_part())
         except NotAUnitError:
             raise NotInvertibleError("linear part is singular") from None
         lin_inv = linear_endo(ring, a_inv)
@@ -418,9 +420,15 @@ class _Products(dict):
         return value
 
 
-def _is_identity(matrix) -> bool:
-    return all(c == (1 if i == j else 0) for i, row in enumerate(matrix)
-               for j, c in enumerate(row))
+def _linear_part_is_identity(images) -> bool:
+    """Whether image i holds x_i with coefficient 1 (numerator den) and no
+    other degree-1 mask."""
+    for i, im in enumerate(images):
+        bit = 1 << i
+        if im.num.get(bit) != im.den or any(
+                m.bit_count() == 1 for m in im.num if m != bit):
+            return False
+    return True
 
 
 def _truncate(e: GrassmannElement, cap: int) -> GrassmannElement:
@@ -436,55 +444,74 @@ class JacobianData:
     """Skew-derivative matrix, its determinant, and the determinant's valuation.
 
     The valuation is the largest even 2m with det - constant in m^(2m), capped
-    at 2*floor(n/2) + 2 when det is constant.
+    at 2*floor(n/2) + 2 when det is constant.  The matrix is built from the
+    images on its first read (``_skew_matrix``): the determinant never needs
+    it.
     """
 
-    matrix: list
     det: GrassmannElement
     valuation: int
+    images: tuple
+
+    @cached_property
+    def matrix(self) -> list:
+        return _skew_matrix(self.images)
+
+
+def _skew_matrix(images) -> list:
+    """J[i][j] = d_j(images[i]), as elements."""
+    n = len(images)
+    return [[skew_partial(j, im) for j in range(1, n + 1)] for im in images]
 
 
 def _valuation(det: GrassmannElement) -> int:
+    """The valuation of ``JacobianData``, read off the masks of det's
+    non-constant terms."""
     cap = 2 * (det.n // 2) + 2
-    tail = det - GrassmannElement.scalar(det.ring, det.n, det.constant_term())
-    if not tail:
+    d = min((m.bit_count() for m in det.num if m), default=None)
+    if d is None:
         return cap
-    d = tail.min_degree()
     if d % 2:
         raise ParityError("Jacobian determinant has an odd-degree term")
     return min(d, cap)
 
 
-def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False,
+def _eliminate(ring: Ring, n: int, matrix=None, *, inverse: bool = False,
                images=None):
     """Determinant, and optionally inverse, of a matrix of even elements.
 
+    The matrix is the Jacobian matrix of ``images`` when they are given,
+    which must be odd, and ``matrix``, a bare matrix of elements, otherwise.
     Even elements commute and form a local ring whose units are the elements
     with a unit constant term.  Returns ``(det, inv)``, with ``inv`` the rows
     of the inverse (Gauss-Jordan on ``[matrix | I]``) when ``inverse`` is set
-    and ``None`` otherwise.  Two passes:
+    and ``None`` otherwise.  Every entry is an int numerator dict over a
+    positive denominator, ``(num, den)``; the entries of a bare matrix are
+    read as ``(e.num, e.den)`` without copying them.  Elements are built only
+    for what is returned: the determinant, the inverse rows, and the block
+    handed to the cofactor expansion.  Two passes:
 
-    1. ``gauss_jordan_num`` on ``[J0 | I]``, with J0 the constant terms read
-       as int numerators over each row's lcm of denominators, gives the
-       scalar row-operation transform t, as int rows over row denominators,
-       and the column order ``cols``; the rows become ``t * matrix`` with
-       columns in that order.  A row of t with one nonzero entry, equal to
-       its denominator, takes the entries of that row of the matrix as
-       they are.  Any other row is, when the matrix is the Jacobian matrix
-       of ``images``, the n skew partials of one ``lincomb`` of the images
-       (t_r J(sigma) is the Jacobian row of sum_k t_rk images[k]), and
-       otherwise one ``lincomb`` of the ints per entry.  For a linear part
-       of rank r, the r pivots become 1 + nilpotent and every other entry
-       of their columns becomes nilpotent, which keeps the products of the
-       second pass sparse.
-    2. Elimination of those r columns, dividing by the pivots with
-       ``invert_unit``: O(n^3) element products.  A pivot that is exactly 1
-       is neither inverted nor multiplied into the determinant.  The row
-       operations ``a - f * b`` work in place on int numerators: the first
-       update of an entry copies its numerators into a ``[num, den]``
+    1. ``gauss_jordan_num`` on ``[J0 | I]``, with J0 the constant terms as
+       int rows (for images, their degree-1 numerators over each image's
+       denominator), gives the scalar row-operation transform t, as int rows
+       over row denominators, and the column order ``cols``; the rows become
+       ``t * matrix`` with columns in that order.  A row of t with one
+       nonzero entry, equal to its denominator, takes that row of the matrix
+       as it is: for images, the skew partials of the image (``_partials``,
+       one pass over its terms).  Any other row is, for images, the
+       partials of one ``lincomb`` of the images (t_r J(sigma) is the
+       Jacobian row of sum_k t_rk images[k]), and otherwise one ``lincomb``
+       of the ints per entry.  For a linear part of rank r, the r pivots
+       become 1 + nilpotent and every other entry of their columns becomes
+       nilpotent, which keeps the products of the second pass sparse.
+    2. Elimination of those r columns, on numerators.  A pivot that is
+       exactly 1 is neither inverted nor multiplied into the determinant;
+       any other is inverted with ``invert_num`` and scales its row with
+       ``mul_num``.  The row operations ``a - f * b`` work in place: the
+       first update of an entry copies its numerators into a ``[num, den]``
        accumulator, and every update adds ``-f * b`` into it with
        ``add_products``, the loop behind ``dot``.  An accumulator is reduced
-       once (``_settle``), when it is read as a pivot-row entry or a
+       once (``reduce_num``), when it is read as a pivot-row entry or a
        multiplier f, or returned.  The update is skipped when a generator
        occurs in every term of f and every term of b, so that every product
        of terms vanishes; that catches most of the zero products on sparse
@@ -496,13 +523,20 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False,
     ``NotInvertibleError``; otherwise no columns were swapped and t is
     appended to the rows as scalars.
     """
-    size = len(matrix)
     j0, dens = [], []
-    for i, row in enumerate(matrix):
-        d = lcm(*[e.den for e in row if 0 in e.num])
-        j0.append([e.num.get(0, 0) * (d // e.den) for e in row]
-                  + [d if j == i else 0 for j in range(size)])
-        dens.append(d)
+    if images is not None:
+        size = len(images)
+        for i, im in enumerate(images):
+            j0.append([im.num.get(1 << j, 0) for j in range(size)]
+                      + [im.den if j == i else 0 for j in range(size)])
+            dens.append(im.den)
+    else:
+        size = len(matrix)
+        for i, row in enumerate(matrix):
+            d = lcm(*[e.den for e in row if 0 in e.num])
+            j0.append([e.num.get(0, 0) * (d // e.den) for e in row]
+                      + [d if j == i else 0 for j in range(size)])
+            dens.append(d)
     # det(matrix) = scalar * det(rows) through pass 1
     scalar, cols, rank = gauss_jordan_num(ring, j0, dens, size)
     if inverse and rank < size:
@@ -510,66 +544,87 @@ def _eliminate(ring: Ring, n: int, matrix, *, inverse: bool = False,
     t = [row[size:] for row in j0]
     if images is None:
         columns = [[row[c] for row in matrix] for c in cols]
+    p = ring.modulus
     rows = []
     for t_row, d in zip(t, dens):
         support = [r for r, x in enumerate(t_row) if x]
-        if len(support) == 1 and t_row[support[0]] == d:
-            # d * e_r over d: the row is row r of the matrix
+        unit = len(support) == 1 and t_row[support[0]] == d
+        if images is not None:
+            # d * e_r over d: the row is the partials of image r
+            src = images[support[0]] if unit else lincomb(
+                ring, n, zip(t_row, images), d)
+            partials = _partials(src, size, p)
+            rows.append([partials[c] for c in cols])
+        elif unit:
             src = matrix[support[0]]
-            rows.append([src[c] for c in cols])
-        elif images is not None:
-            comb = lincomb(ring, n, zip(t_row, images), d)
-            rows.append([skew_partial(c + 1, comb) for c in cols])
+            rows.append([(src[c].num, src[c].den) for c in cols])
         else:
-            rows.append([lincomb(ring, n, zip(t_row, col), d) for col in columns])
+            rows.append([(e.num, e.den) for e in (
+                lincomb(ring, n, zip(t_row, col), d) for col in columns)])
     if inverse:
         for row, t_row, d in zip(rows, t, dens):
-            row.extend(from_num(ring, n, {0: x}, d) for x in t_row)
-    det = GrassmannElement.scalar(ring, n, scalar)
-    one = GrassmannElement.one(ring, n)
+            row.extend(({0: x} if x else {}, d) for x in t_row)
+    a, q = scalar.as_integer_ratio()
+    det = ({0: a}, q)
     width = len(rows[0])
     for k in range(rank):
         pivot_row = rows[k]
         for j in range(k, width):
-            pivot_row[j] = _settle(ring, n, pivot_row[j])
+            if type(pivot_row[j]) is list:
+                pivot_row[j] = reduce_num(ring, *pivot_row[j])
         pivot = pivot_row[k]
-        if pivot != one:
-            det = det * pivot
-            pivot_inv = invert_unit(pivot)
+        if len(pivot[0]) != 1 or pivot[0].get(0) != pivot[1]:  # not exactly 1
+            det = mul_num(ring, det, pivot, n)
+            pivot_inv = invert_num(ring, n, *pivot)
             # column k is never read again, so it is left uncleared
             for j in range(k + 1, width):
-                if pivot_row[j]:
-                    pivot_row[j] = pivot_row[j] * pivot_inv
+                if pivot_row[j][0]:
+                    pivot_row[j] = mul_num(ring, pivot_row[j], pivot_inv, n)
         # (column, entry, the bits common to all of the entry's masks)
-        targets = [(j, b, reduce(and_, b.num))
-                   for j in range(k + 1, width) if (b := pivot_row[j])]
+        targets = [(j, b, reduce(and_, b[0]))
+                   for j in range(k + 1, width) if (b := pivot_row[j])[0]]
         for i in range(0 if inverse else k + 1, size):
             if i == k:
                 continue
-            row = rows[i]
-            f = _settle(ring, n, row[k])
-            if not f:
+            f = rows[i][k]
+            if type(f) is list:
+                f = reduce_num(ring, *f)
+            if not f[0]:
                 continue
-            common = reduce(and_, f.num)
-            minus_f = -f
+            common = reduce(and_, f[0])
+            minus_f = ({m: -c for m, c in f[0].items()}, f[1])
+            row = rows[i]
             for j, b, b_common in targets:
                 if common & b_common:
                     continue  # every term of f meets every term of b
                 acc = row[j]
                 if type(acc) is not list:
-                    acc = row[j] = [dict(acc.num), acc.den]
+                    acc = row[j] = [dict(acc[0]), acc[1]]
                 acc[1] = add_products(acc[0], acc[1], ((minus_f, b),), n)
+    det = from_num(ring, n, *det)
     if rank < size:
-        det = det * _det_central(ring, n, [[_settle(ring, n, e) for e in row[rank:]]
+        det = det * _det_central(ring, n, [[from_num(ring, n, *e) for e in row[rank:]]
                                            for row in rows[rank:]])
-    return det, ([[_settle(ring, n, e) for e in row[size:]] for row in rows]
+    return det, ([[from_num(ring, n, *e) for e in row[size:]] for row in rows]
                  if inverse else None)
 
 
-def _settle(ring: Ring, n: int, entry) -> GrassmannElement:
-    """An entry of pass 2 of ``_eliminate`` as an element: a ``[num, den]``
-    accumulator is reduced with ``from_num``, an element is returned as is."""
-    return from_num(ring, n, *entry) if type(entry) is list else entry
+def _partials(e: GrassmannElement, size: int, p) -> list:
+    """The skew partials d_1(e) .. d_size(e) of an odd e as ``(num, den)``
+    pairs, from one pass over its terms: a term c x^m adds +-c at m ^ bit
+    to partial j for each bit j of m, with the sign of the parity of m's
+    bits below j, as ``skew_partial`` takes it (p: the modulus or None)."""
+    out = [{} for _ in range(size)]
+    for m, c in e.num.items():
+        other = -c if p is None else p - c
+        rem = m
+        while rem:
+            low = rem & -rem
+            out[low.bit_length() - 1][m ^ low] = c
+            c, other = other, c
+            rem ^= low
+    den = e.den
+    return [(num, den) for num in out]
 
 
 def _det_central(ring: Ring, n: int, matrix) -> GrassmannElement:

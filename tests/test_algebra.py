@@ -28,7 +28,7 @@ from grassmann.algebra import (
 )
 from grassmann.endo import parse_endomorphism
 from grassmann.rings import GF, QQ, NotAUnitError, PrimeField, ZeroDenominatorError, _is_prime
-from grassmann.sampling import random_element, random_odd
+from grassmann.sampling import random_element, random_odd, spawn
 from grassmann.skewcalc import skew_partial
 from grassmann.verify import (
     check_associativity,
@@ -168,12 +168,23 @@ class TestHypothesisRoundTrips:
         e = data.draw(field_elements(ring))
         assert parse_element(ring, 5, format_element(e)) == e
 
-    @pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("ring", [QQ, GF(7), GF(3)], ids=["QQ", "GF7", "GF3"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_json_round_trip(self, ring, data):
-        e = data.draw(field_elements(ring))
-        assert element_from_json(ring, 5, element_to_json(e)) == e
+        n = data.draw(st.integers(1, 8))
+        e = data.draw(field_elements(ring, n))
+        assert element_from_json(ring, n, element_to_json(e)) == e
+
+    @pytest.mark.parametrize("ring", [QQ, GF(7), GF(3)], ids=["QQ", "GF7", "GF3"])
+    def test_json_rejects_a_repeated_mask(self, ring):
+        data = element_to_json(elem(ring, 4, "1/2*x1 + x2x3"))
+        data["terms"].append(dict(data["terms"][0], coeff="1"))
+        with pytest.raises(ValueError, match="mask 1 occurs twice"):
+            element_from_json(ring, 4, data)
+        data["terms"][-1] = {"mask": 16, "monomial": "x5", "coeff": "1"}
+        with pytest.raises(ValueError, match="mask 16 out of range"):
+            element_from_json(ring, 4, data)
 
     @settings(max_examples=300, deadline=None)
     @given(GRAMMAR_TEXT)
@@ -505,6 +516,36 @@ class TestUnitInversion:
     def test_non_unit_rejected(self, ring):
         with pytest.raises(NotAUnitError):
             invert_unit(gen(ring, 3, 1))
+
+    @pytest.mark.parametrize("ring", [QQ, GF(3), GF(7)], ids=str)
+    def test_series_in_every_size(self, ring):
+        # e * e^-1 = 1 for units lam (1 - f) with lam != 1, f random plus the
+        # pair sum g = x1x2 + x3x4 + ..., whose powers stay nonzero up to
+        # g^(n // 2), so the series runs to its end
+        rng = spawn(17, "unit-series", str(ring))
+        for n in range(1, 11):
+            one = GrassmannElement.one(ring, n)
+            g = GrassmannElement(ring, n, {3 << 2 * k: 1 for k in range(n // 2)})
+            want = one  # (1 - g)^-1 by repeated products
+            power = one
+            for _ in range(n // 2):
+                power = power * g
+                want = want + power
+            assert invert_unit(one - g) == want
+            for _ in range(4):
+                lam = ring.random_nonzero(rng)
+                while lam == ring.one:
+                    lam = ring.random_nonzero(rng)
+                f = random_element(rng, ring, n, degrees=range(1, n + 1), terms=4) + g
+                e = (one - f).scale(lam)
+                inv = invert_unit(e)
+                assert e * inv == one
+                assert inv * e == one
+            lam = ring.normalize(Fraction(2, 5))
+            scalar = GrassmannElement.scalar(ring, n, lam)
+            assert invert_unit(scalar) == GrassmannElement.scalar(ring, n, ring.invert(lam))
+            with pytest.raises(NotAUnitError):
+                invert_unit(g + gen(ring, n, 1))
 
 
 class TestCenter:

@@ -11,9 +11,11 @@ from grassmann.algebra import (
     GrassmannElement,
     add_products,
     dot,
-    invert_unit,
+    from_num,
+    invert_num,
     lincomb,
     parse_element,
+    restrict,
 )
 from grassmann import endo as endo_module
 from grassmann.endo import (
@@ -23,6 +25,7 @@ from grassmann.endo import (
     ParityError,
     _det_central,
     _eliminate,
+    _skew_matrix,
     compose_all,
     coordinate_shift,
     format_endomorphism,
@@ -50,6 +53,7 @@ from grassmann.sampling import (
     random_sigma_word,
     spawn,
 )
+from grassmann.skewcalc import skew_partial
 from grassmann.verify import (
     check_chain_rule,
     check_composition_laws,
@@ -559,7 +563,7 @@ class TestEliminationKernel:
                                      terms=3) + (one if i == j else zero)
                       for j in range(n)] for i in range(n)]]
         if n >= 3:  # shifts need degree >= 3
-            matrices += [random_sigma_word(rng, ring, n, length=3)._skew_matrix()
+            matrices += [_skew_matrix(random_sigma_word(rng, ring, n, length=3).images)
                          for _ in range(2)]
         for matrix in matrices:
             assert [[e.constant_term() for e in row] for row in matrix] == eye
@@ -631,7 +635,7 @@ class TestEliminationKernel:
                           if m.bit_count() == 1})
             maps.append(Endomorphism(images, check=False))
         for sigma in maps:
-            matrix = sigma._skew_matrix()
+            matrix = _skew_matrix(sigma.images)
             det, _ = _eliminate(ring, n, matrix)
             calls.clear()
             with monkeypatch.context() as m:
@@ -746,16 +750,16 @@ class TestEliminationKernel:
         # pivot is inverted per mode
         calls = []
 
-        def counting(e):
-            calls.append(e)
-            return invert_unit(e)
+        def counting(ring, n, num, den):
+            calls.append(from_num(ring, n, num, den))
+            return invert_num(ring, n, num, den)
 
         n = 6
         matrix = self.parse_matrix(ring, n, [
             ["1", "x1x2", "x3x4"],
             ["x1x5", "1", "x2x6"],
             ["x2x4", "x2x6", "1 + x1x5"]])
-        monkeypatch.setattr(endo_module, "invert_unit", counting)
+        monkeypatch.setattr(endo_module, "invert_num", counting)
         self.check_both_modes(ring, n, matrix)
         assert len(calls) == 2
         assert all(e != GrassmannElement.one(ring, n) for e in calls)
@@ -772,9 +776,9 @@ class TestEliminationKernel:
             assert jac.det == self.check_both_modes(ring, n, jac.matrix)
 
     def test_jacobian_leaves_the_matrix_entries_alone(self, ring):
-        # identity rows of pass 1 share their element objects with the
-        # matrix, so pass 2 must copy numerators before it accumulates;
-        # _dual_data runs the inverse elimination on jac.matrix itself
+        # identity rows of pass 1 read the numerator dicts of the matrix
+        # entries without copying them, so pass 2 must copy them before it
+        # accumulates
         rng = spawn(41, "kernel-alias", str(ring))
         for n in (5, 7):
             for sigma in (random_sigma_word(rng, ring, n, length=3),
@@ -782,7 +786,9 @@ class TestEliminationKernel:
                           random_gamma_gl(rng, ring, n)):
                 jac = sigma.jacobian()
                 sigma._dual_data()
-                fresh = Endomorphism(sigma.images, check=False)._skew_matrix()
+                for inverse in (False, True):
+                    _eliminate(ring, n, jac.matrix, inverse=inverse)
+                fresh = _skew_matrix(sigma.images)
                 assert jac.matrix == fresh
 
     def test_inverse_elimination_leaves_its_input_alone(self, ring):
@@ -795,6 +801,110 @@ class TestEliminationKernel:
             before = [[(dict(e.num), e.den) for e in row] for row in matrix]
             _eliminate(ring, n, matrix, inverse=True)
             assert [[(e.num, e.den) for e in row] for row in matrix] == before
+
+
+class TestNumeratorJacobian:
+    """The Jacobian straight from the images: numerator rows, the matrix
+    built on its first read."""
+
+    FIELDS = [QQ, GF(3), GF(7)]
+
+    def test_det_forms_no_skew_partial(self, ring, monkeypatch):
+        calls = []
+
+        def counting(i, e):
+            calls.append(i)
+            return skew_partial(i, e)
+
+        monkeypatch.setattr(endo_module, "skew_partial", counting)
+        rng = spawn(43, "lazy-matrix", str(ring))
+        for n in (4, 7):
+            for sigma in (random_gamma(rng, ring, n), random_gamma_gl(rng, ring, n)):
+                fresh = Endomorphism(sigma.images, check=False)
+                jac = fresh.jacobian()
+                assert jac.det == _det_central(ring, n, [
+                    [skew_partial(j, im) for j in range(1, n + 1)]
+                    for im in sigma.images])
+                fresh._dual_data()
+                assert calls == []
+                want = [[skew_partial(j, im) for j in range(1, n + 1)]
+                        for im in sigma.images]
+                assert jac.matrix == want
+                assert len(calls) == n * n
+                assert jac.matrix is jac.matrix  # built once
+                assert len(calls) == n * n
+                calls.clear()
+
+    def test_parity_error_before_elimination(self, ring, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("elimination ran on images with even parts")
+
+        monkeypatch.setattr(endo_module, "_eliminate", refuse)
+        for text in ("x1 -> x1 + x1x2; x2 -> x2", "x1 -> x1; x2 -> 1 + x2"):
+            sigma = parse_endomorphism(ring, 2, text, check=False)
+            with pytest.raises(ParityError, match="purely odd images"):
+                sigma.jacobian()
+            assert not sigma.has_odd_images()
+        assert identity_endo(ring, 2).has_odd_images()
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_partials_match_skew_partial(self, ring):
+        rng = spawn(43, "partials", str(ring))
+        for n in range(1, 8):
+            for _ in range(4):
+                e = random_odd(rng, ring, n, terms=6)
+                got = endo_module._partials(e, n, ring.modulus)
+                assert [from_num(ring, n, *pair) for pair in got] == [
+                    skew_partial(j, e) for j in range(1, n + 1)]
+
+    @staticmethod
+    def maps(rng, ring, n):
+        """A singular linear part, shifts (linear part I, so pivots that are
+        exactly 1), and composites of two shift * linear maps."""
+        images = list(random_gamma_gl(rng, ring, n).images)
+        k = rng.randrange(n)
+        images[k] = restrict(images[k], {m: c for m, c in images[k].num.items()
+                                         if m.bit_count() != 1})
+        yield Endomorphism(images, check=False), False
+        yield random_gamma(rng, ring, n, terms=2), True
+        yield random_gamma(rng, ring, n, terms=4), True
+        yield random_gamma_gl(rng, ring, n).compose(random_gamma_gl(rng, ring, n)), True
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_both_modes_match_cofactors(self, ring, n, monkeypatch):
+        inverted = []
+
+        def counting(*args):
+            inverted.append(1)
+            return invert_num(*args)
+
+        monkeypatch.setattr(endo_module, "invert_num", counting)
+        rng = spawn(43, "both-modes", n, str(ring))
+        one = GrassmannElement.one(ring, n)
+        zero = GrassmannElement.zero(ring, n)
+        exact_one = 0
+        for _ in range(2):
+            for sigma, invertible in self.maps(rng, ring, n):
+                matrix = _skew_matrix(sigma.images)
+                want = _det_central(ring, n, matrix)
+                inverted.clear()
+                assert _eliminate(ring, n, images=sigma.images)[0] == want
+                exact_one += invertible and len(inverted) < n
+                if not invertible:
+                    assert not want.constant_term()
+                    with pytest.raises(NotInvertibleError):
+                        _eliminate(ring, n, inverse=True, images=sigma.images)
+                    continue
+                det, inv = _eliminate(ring, n, inverse=True, images=sigma.images)
+                assert det == want
+                assert (det, inv) == _eliminate(ring, n, matrix, inverse=True)
+                for i in range(n):
+                    for j in range(n):
+                        got = dot(ring, n, ((matrix[i][t], inv[t][j])
+                                            for t in range(n)), n)
+                        assert got == (one if i == j else zero)
+        assert exact_one
 
 
 class TestDualDerivatives:
@@ -976,6 +1086,27 @@ class TestApplyInverseAll:
             assert got == composed_iteration_inverse(f).apply_all(es)
             assert f.apply_all(got) == es
         assert f.apply_inverse_all([]) == []
+
+    @pytest.mark.parametrize("ring", [QQ, GF(3), GF(7)], ids=str)
+    def test_gate_reads_the_numerators(self, ring):
+        # linear part I: image i holds x_i with numerator den and no other
+        # degree-1 mask; the gate builds no linear-part matrix
+        n = 4
+        e = parse_element(ring, n, "x1 + x2x3x4")
+        for text in ("x1 -> x1; x2 -> x2 + 2*x3; x3 -> x3; x4 -> x4",
+                     "x1 -> x1 + x1x2x3; x2 -> x2; x3 -> x3; x4 -> x4 + x3"):
+            sigma = parse_endomorphism(ring, n, text)
+            with pytest.raises(NotUnipotentError,
+                               match="linear part I and no constant terms"):
+                sigma.apply_inverse_all([e])
+            assert sigma._linear is None
+        # a unipotent map whose images have a denominator above 1 over QQ
+        sigma = parse_endomorphism(
+            ring, n, "x1 -> x1 + 1/2*x2x3x4; x2 -> x2 - 2/5*x1x3x4; x3 -> x3; x4 -> x4")
+        got = sigma.apply_inverse_all([e])
+        assert sigma._linear is None
+        assert sigma.apply_all(got) == [e]
+        assert got == composed_iteration_inverse(sigma).apply_all([e])
 
     @pytest.mark.parametrize("ring", [QQ, GF(3), GF(7)], ids=str)
     def test_non_unipotent_fails_fast(self, ring, monkeypatch):
