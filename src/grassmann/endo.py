@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import lcm
 from operator import and_
 
 from .algebra import (
@@ -260,13 +259,14 @@ class Endomorphism:
         straight from the images: scalar Gauss-Jordan on the linear part,
         then Gaussian elimination on unit pivots, O(n^3) products of int
         numerators, with the products that vanish by a shared generator
-        skipped unformed.  Only a trailing block without any unit entry,
-        left when the linear part is singular, goes to the cofactor
-        expansion.  The matrix itself is built on its first read.
+        skipped unformed.  A trailing block without any unit entry, left
+        when the linear part is singular, makes the determinant 0 when it
+        has more than n/2 rows and goes to the cofactor expansion
+        otherwise.  The matrix itself is built on its first read.
         """
         if self._jac is None:
             self._check_odd_images()
-            det, _ = _eliminate(self.ring, self.n, images=self.images)
+            det, _ = _eliminate(self.images)
             self._set_jacobian(det)
         return self._jac
 
@@ -285,8 +285,7 @@ class Endomorphism:
         """
         if self._dual is None:
             self._check_odd_images()
-            det, inv = _eliminate(self.ring, self.n, inverse=True,
-                                  images=self.images)
+            det, inv = _eliminate(self.images, inverse=True)
             if self._jac is None:
                 self._set_jacobian(det)
             self._dual = [list(col) for col in zip(*inv)]
@@ -476,91 +475,72 @@ def _valuation(det: GrassmannElement) -> int:
     return min(d, cap)
 
 
-def _eliminate(ring: Ring, n: int, matrix=None, *, inverse: bool = False,
-               images=None):
-    """Determinant, and optionally inverse, of a matrix of even elements.
+def _eliminate(images, *, inverse: bool = False):
+    """Determinant, and optionally inverse, of the Jacobian matrix of odd
+    ``images``.
 
-    The matrix is the Jacobian matrix of ``images`` when they are given,
-    which must be odd, and ``matrix``, a bare matrix of elements, otherwise.
-    Even elements commute and form a local ring whose units are the elements
-    with a unit constant term.  Returns ``(det, inv)``, with ``inv`` the rows
-    of the inverse (Gauss-Jordan on ``[matrix | I]``) when ``inverse`` is set
-    and ``None`` otherwise.  Every entry is an int numerator dict over a
-    positive denominator, ``(num, den)``; the entries of a bare matrix are
-    read as ``(e.num, e.den)`` without copying them.  Elements are built only
-    for what is returned: the determinant, the inverse rows, and the block
-    handed to the cofactor expansion.  Two passes:
+    Its entries are even, and even elements commute and form a local ring
+    whose units are the elements with a unit constant term.  Returns
+    ``(det, inv)``, with ``inv`` the rows of the inverse (Gauss-Jordan on
+    ``[J | I]``) when ``inverse`` is set and ``None`` otherwise.  Every entry
+    is an int numerator dict over a positive denominator, ``(num, den)``.
+    Elements are built only for what is returned: the determinant, the
+    inverse rows, and the block handed to the cofactor expansion.  Two
+    passes:
 
-    1. ``gauss_jordan_num`` on ``[J0 | I]``, with J0 the constant terms as
-       int rows (for images, their degree-1 numerators over each image's
-       denominator), gives the scalar row-operation transform t, as int rows
-       over row denominators, and the column order ``cols``; the rows become
-       ``t * matrix`` with columns in that order.  A row of t with one
-       nonzero entry, equal to its denominator, takes that row of the matrix
-       as it is: for images, the skew partials of the image (``_partials``,
-       one pass over its terms).  Any other row is, for images, the
+    1. ``gauss_jordan_num`` on ``[J0 | I]``, with J0 the linear part as int
+       rows (the degree-1 numerators over each image's denominator), gives
+       the scalar row-operation transform t, as int rows over row
+       denominators, and the column order ``cols``; the rows become
+       ``t * J`` with columns in that order.  A row of t with one nonzero
+       entry, equal to its denominator, is the skew partials of that image
+       (``_partials``, one pass over its terms); any other row is the
        partials of one ``lincomb`` of the images (t_r J(sigma) is the
-       Jacobian row of sum_k t_rk images[k]), and otherwise one ``lincomb``
-       of the ints per entry.  For a linear part of rank r, the r pivots
-       become 1 + nilpotent and every other entry of their columns becomes
+       Jacobian row of sum_k t_rk images[k]).  Either way every entry is a
+       fresh dict.  For a linear part of rank r, the r pivots become
+       1 + nilpotent and every other entry of their columns becomes
        nilpotent, which keeps the products of the second pass sparse.
     2. Elimination of those r columns, on numerators.  A pivot that is
        exactly 1 is neither inverted nor multiplied into the determinant;
        any other is inverted with ``invert_num`` and scales its row with
-       ``mul_num``.  The row operations ``a - f * b`` work in place: the
-       first update of an entry copies its numerators into a ``[num, den]``
-       accumulator, and every update adds ``-f * b`` into it with
-       ``add_products``, the loop behind ``dot``.  An accumulator is reduced
-       once (``reduce_num``), when it is read as a pivot-row entry or a
-       multiplier f, or returned.  The update is skipped when a generator
-       occurs in every term of f and every term of b, so that every product
-       of terms vanishes; that catches most of the zero products on sparse
-       maps.
+       ``mul_num``.  The row operations ``a - f * b`` work in place on
+       ``[num, den]`` accumulators: every update adds ``-f * b`` into one
+       with ``add_products``, the loop behind ``dot``.  An accumulator is
+       reduced once (``reduce_num``), when it is read as a pivot-row entry
+       or a multiplier f, or returned.  The update is skipped when a
+       generator occurs in every term of f and every term of b, so that
+       every product of terms vanishes; that catches most of the zero
+       products on sparse maps.
 
-    The pivot search covers the whole remaining block, so the block left
-    without unit entries is nilpotent; its determinant is the cofactor
-    expansion.  With ``inverse`` a rank below the size raises
-    ``NotInvertibleError``; otherwise no columns were swapped and t is
-    appended to the rows as scalars.
+    The pivot search covers the whole remaining block, so the n - r rows
+    left without unit entries form a nilpotent block: no entry has a term
+    below degree 2, so every product of more than n/2 entries vanishes.  A
+    block of more than n/2 rows makes the determinant 0, returned before
+    pass 2; a smaller one goes to the cofactor expansion.  With ``inverse``
+    a rank below n raises ``NotInvertibleError``; otherwise no columns were
+    swapped and t is appended to the rows as scalars.
     """
-    j0, dens = [], []
-    if images is not None:
-        size = len(images)
-        for i, im in enumerate(images):
-            j0.append([im.num.get(1 << j, 0) for j in range(size)]
-                      + [im.den if j == i else 0 for j in range(size)])
-            dens.append(im.den)
-    else:
-        size = len(matrix)
-        for i, row in enumerate(matrix):
-            d = lcm(*[e.den for e in row if 0 in e.num])
-            j0.append([e.num.get(0, 0) * (d // e.den) for e in row]
-                      + [d if j == i else 0 for j in range(size)])
-            dens.append(d)
-    # det(matrix) = scalar * det(rows) through pass 1
-    scalar, cols, rank = gauss_jordan_num(ring, j0, dens, size)
-    if inverse and rank < size:
+    ring, n = images[0].ring, images[0].n
+    j0 = [[im.num.get(1 << j, 0) for j in range(n)]
+          + [im.den if j == i else 0 for j in range(n)]
+          for i, im in enumerate(images)]
+    dens = [im.den for im in images]
+    # det(J) = scalar * det(rows) through pass 1
+    scalar, cols, rank = gauss_jordan_num(ring, j0, dens, n)
+    if inverse and rank < n:
         raise NotInvertibleError("linear part is singular")
-    t = [row[size:] for row in j0]
-    if images is None:
-        columns = [[row[c] for row in matrix] for c in cols]
+    if 2 * (n - rank) > n:
+        return GrassmannElement.zero(ring, n), None
+    t = [row[n:] for row in j0]
     p = ring.modulus
     rows = []
     for t_row, d in zip(t, dens):
         support = [r for r, x in enumerate(t_row) if x]
-        unit = len(support) == 1 and t_row[support[0]] == d
-        if images is not None:
-            # d * e_r over d: the row is the partials of image r
-            src = images[support[0]] if unit else lincomb(
-                ring, n, zip(t_row, images), d)
-            partials = _partials(src, size, p)
-            rows.append([partials[c] for c in cols])
-        elif unit:
-            src = matrix[support[0]]
-            rows.append([(src[c].num, src[c].den) for c in cols])
-        else:
-            rows.append([(e.num, e.den) for e in (
-                lincomb(ring, n, zip(t_row, col), d) for col in columns)])
+        # d * e_r over d: the row is the partials of image r
+        src = (images[support[0]] if len(support) == 1 and t_row[support[0]] == d
+               else lincomb(ring, n, zip(t_row, images), d))
+        partials = _partials(src, n, p)
+        rows.append([partials[c] for c in cols])
     if inverse:
         for row, t_row, d in zip(rows, t, dens):
             row.extend(({0: x} if x else {}, d) for x in t_row)
@@ -583,7 +563,7 @@ def _eliminate(ring: Ring, n: int, matrix=None, *, inverse: bool = False,
         # (column, entry, the bits common to all of the entry's masks)
         targets = [(j, b, reduce(and_, b[0]))
                    for j in range(k + 1, width) if (b := pivot_row[j])[0]]
-        for i in range(0 if inverse else k + 1, size):
+        for i in range(0 if inverse else k + 1, n):
             if i == k:
                 continue
             f = rows[i][k]
@@ -599,13 +579,13 @@ def _eliminate(ring: Ring, n: int, matrix=None, *, inverse: bool = False,
                     continue  # every term of f meets every term of b
                 acc = row[j]
                 if type(acc) is not list:
-                    acc = row[j] = [dict(acc[0]), acc[1]]
+                    acc = row[j] = list(acc)
                 acc[1] = add_products(acc[0], acc[1], ((minus_f, b),), n)
     det = from_num(ring, n, *det)
-    if rank < size:
+    if rank < n:
         det = det * _det_central(ring, n, [[from_num(ring, n, *e) for e in row[rank:]]
                                            for row in rows[rank:]])
-    return det, ([[from_num(ring, n, *e) for e in row[size:]] for row in rows]
+    return det, ([[from_num(ring, n, *e) for e in row[n:]] for row in rows]
                  if inverse else None)
 
 
@@ -631,7 +611,8 @@ def _det_central(ring: Ring, n: int, matrix) -> GrassmannElement:
     """Cofactor determinant of a matrix of even (central) elements.
 
     O(size * 2^size) products: ``_eliminate`` uses it only on the block
-    left without unit pivots, and the tests use it as the reference.
+    left without unit pivots, of at most n/2 rows, and the tests use it as
+    the reference.
     """
     return _Cofactors(ring, n, matrix)[(1 << len(matrix)) - 1]
 

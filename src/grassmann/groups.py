@@ -751,8 +751,6 @@ def jacobian_preimage(u: GrassmannElement, *, exact: bool = True) -> PreimageRes
     diff = u - one
     if diff != even_part(diff) or (diff and diff.min_degree() < 2):
         raise ValueError("target must be even with constant term 1")
-    if u.constant_term() != ring.one:
-        raise ValueError("target must have constant term 1")
     acc = compose_all(ring, n, _peel_layers(u)[1])
     achieved = acc.jacobian().det
     if n % 2:

@@ -36,6 +36,13 @@ def battery(request):
     return run
 
 
+def dense_gamma(rng, ring, n):
+    """x_i -> x_i + every odd monomial of degree >= 3, random coefficients."""
+    return shift_endo(ring, n, [GrassmannElement(ring, n, {
+        m: ring.random_nonzero(rng) for m in range(1 << n)
+        if m.bit_count() >= 3 and m.bit_count() % 2}) for _ in range(n)])
+
+
 def letters_multiply(ring, n, word_a, word_b, coeff_a, coeff_b):
     """Brute-force product of two index words by adjacent-swap sorting.
 

@@ -430,17 +430,30 @@ class TestEliminationKernel:
 
     @pytest.mark.parametrize("ring", FIELDS, ids=str)
     def test_random_even_matrices(self, ring):
-        # entries with arbitrary (often non-unit) constant terms
+        # Jacobian matrices whose entries have arbitrary (often non-unit)
+        # constant terms: a random, often singular, linear part under odd
+        # terms of degree >= 3
         rng = spawn(41, "kernel-even", str(ring))
+        singular = 0
         for n in range(1, 7):
             for _ in range(4):
-                matrix = [[random_element(rng, ring, n, degrees=range(0, n + 1, 2),
-                                          terms=2) for _ in range(n)]
-                          for _ in range(n)]
-                det, _ = _eliminate(ring, n, matrix)
-                assert det == _det_central(ring, n, matrix)
+                a = [[ring.random(rng) for _ in range(n)] for _ in range(n)]
+                images = linear_endo(ring, a).images
+                if n >= 3:
+                    images = [im + random_odd(rng, ring, n, min_degree=3, terms=2)
+                              for im in images]
+                singular += mat_det(ring, a) == ring.zero
+                self.check_both_modes(images)
+        assert singular
 
-    def test_nilpotent_remainder_fixed_cases(self, ring):
+    def test_nilpotent_remainder_fixed_cases(self, ring, monkeypatch):
+        sizes = []
+
+        def recording(ring, n, matrix):
+            sizes.append(len(matrix))
+            return _det_central(ring, n, matrix)
+
+        monkeypatch.setattr(endo_module, "_det_central", recording)
         sigma = endo(ring, 3, "x1 -> x1x2x3; x2 -> x2; x3 -> x3")
         assert sigma.jacobian().det == parse_element(ring, 3, "x2x3")
         # a 2x2 block without unit entries is left after four pivots
@@ -450,21 +463,56 @@ class TestEliminationKernel:
         assert jac.det == parse_element(ring, 6, "x3x4x5x6")
         assert jac.det == _det_central(ring, 6, jac.matrix)
         assert jac.valuation == 4
+        # a block of exactly n/2 rows, whose determinant is the top monomial
+        sigma = endo(ring, 4, "x1 -> x1x2x3; x2 -> x1x2x4; x3 -> x3; x4 -> x4")
+        assert sigma.jacobian().det == parse_element(ring, 4, "-2*x1x2x3x4")
+        assert sizes == [1, 2, 2]
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 14])
+    def test_nilpotent_block_above_half_n_is_zero(self, n, monkeypatch):
+        # every entry of the block left without unit entries has no term
+        # below degree 2, so a block of more than n/2 rows has det 0 and
+        # takes no cofactor expansion
+        def bounded(ring, n_, matrix):
+            assert len(matrix) <= n_ // 2, "cofactor expansion above n/2"
+            return _det_central(ring, n_, matrix)
+
+        monkeypatch.setattr(endo_module, "_det_central", bounded)
+        ring = GF(7)
+        zero = GrassmannElement.zero(ring, n)
+        rng = spawn(41, "kernel-nilpotent-bound", n)
+        for _ in range(3):
+            # a zero linear part leaves the whole n x n block
+            sigma = Endomorphism([random_element(rng, ring, n, degrees=[3], terms=3)
+                                  for _ in range(n)], check=False)
+            jac = sigma.jacobian()
+            assert jac.det == zero
+            if n <= 8:
+                assert jac.det == _det_central(ring, n, jac.matrix)
+        if n > 8:
+            return
+        # dropping the linear terms of k images leaves a k x k block: the
+        # cofactor expansion runs up to k = n/2, and the bound above it
+        for k in range(n + 1):
+            images = list(random_gamma_gl(rng, ring, n).images)
+            for i in rng.sample(range(n), k):
+                images[i] = restrict(images[i], {m: c for m, c in images[i].num.items()
+                                                 if m.bit_count() != 1})
+            sigma = Endomorphism(images, check=False)
+            jac = sigma.jacobian()
+            assert jac.det == _det_central(ring, n, jac.matrix)
 
     def test_column_swap_in_constant_part(self, ring):
-        # the constant terms have a zero first column and rank 2, so the
-        # scalar pivot search swaps columns before the nilpotent remainder
+        # the linear part has a zero first column and rank 3, so the scalar
+        # pivot search swaps columns before the nilpotent remainder
         n = 4
-        matrix = [[parse_element(ring, n, text) for text in row] for row in (
-            ["x1x2", "1 + x3x4", "2"],
-            ["x3x4", "3", "1 + x1x3"],
-            ["x2x4 + x1x2x3x4", "1", "5 + x2x3"])]
-        constants = [[e.constant_term() for e in row] for row in matrix]
-        _, cols, rank = gauss_jordan(ring, constants, 3)
-        assert rank == 2 and cols[0] != 0
-        det, _ = _eliminate(ring, n, matrix)
+        sigma = endo(ring, n, "x1 -> x2 + 2*x3 + x1x2x4; x2 -> 3*x3 + x4 + x1x2x3; "
+                              "x3 -> x2 + x4 + x1x3x4; x4 -> x1x2x3 + x2x3x4")
+        _, cols, rank = gauss_jordan(ring, sigma.linear_part(), n)
+        assert rank == 3 and cols[0] != 0
+        det, _ = _eliminate(sigma.images)
         assert det
-        assert det == _det_central(ring, n, matrix)
+        assert det == _det_central(ring, n, _skew_matrix(sigma.images))
 
     def test_cofactor_not_run_on_invertible_linear_part(self, ring, monkeypatch):
         def refuse(*args):
@@ -524,23 +572,22 @@ class TestEliminationKernel:
 
     @pytest.mark.parametrize("ring", FIELDS, ids=str)
     def test_constant_inverse_matches_mat_inv(self, ring):
-        # on scalar entries pass 1 does all the work, so its int transform
+        # on a linear map pass 1 does all the work, so its int transform
         # over the row denominators must come out as the scalar inverse
         rng = spawn(41, "kernel-constant", str(ring))
-        n = 3
         singular = 0
-        for size in range(1, 8):
+        for n in range(1, 8):
             for _ in range(4):
-                a = [[ring.random(rng) for _ in range(size)] for _ in range(size)]
-                matrix = [[GrassmannElement.scalar(ring, n, c) for c in row] for row in a]
+                a = [[ring.random(rng) for _ in range(n)] for _ in range(n)]
+                images = linear_endo(ring, a).images
                 det = mat_det(ring, a)
                 if det == ring.zero:
                     singular += 1
                     with pytest.raises(NotInvertibleError):
-                        _eliminate(ring, n, matrix, inverse=True)
-                    assert _eliminate(ring, n, matrix)[0] == GrassmannElement.zero(ring, n)
+                        _eliminate(images, inverse=True)
+                    assert _eliminate(images)[0] == GrassmannElement.zero(ring, n)
                     continue
-                got_det, inv = _eliminate(ring, n, matrix, inverse=True)
+                got_det, inv = _eliminate(images, inverse=True)
                 assert got_det == GrassmannElement.scalar(ring, n, det)
                 assert inv == [[GrassmannElement.scalar(ring, n, c) for c in row]
                                for row in mat_inv(ring, a)]
@@ -549,41 +596,27 @@ class TestEliminationKernel:
     @pytest.mark.parametrize("ring", FIELDS, ids=str)
     @pytest.mark.parametrize("n", range(2, 8))
     def test_identity_constant_part_reuses_entries(self, ring, n, monkeypatch):
-        # J0 = I: every row of the pass-1 transform is a unit vector over
-        # denominator 1, so pass 1 builds no element
+        # linear part I: every row of the pass-1 transform is a unit vector
+        # over denominator 1, so every row is the partials of its own image
+        # and no lincomb is formed
         def refuse(*args, **kwargs):
-            raise AssertionError("pass 1 rebuilt an entry of an identity row")
+            raise AssertionError("pass 1 formed a lincomb for an identity row")
 
         rng = spawn(41, "kernel-identity", n, str(ring))
-        one = GrassmannElement.one(ring, n)
-        zero = GrassmannElement.zero(ring, n)
-        eye = [[ring.one if i == j else ring.zero for j in range(n)]
-               for i in range(n)]
-        matrices = [[[random_element(rng, ring, n, degrees=range(2, n + 1, 2),
-                                     terms=3) + (one if i == j else zero)
-                      for j in range(n)] for i in range(n)]]
-        if n >= 3:  # shifts need degree >= 3
-            matrices += [_skew_matrix(random_sigma_word(rng, ring, n, length=3).images)
-                         for _ in range(2)]
-        for matrix in matrices:
-            assert [[e.constant_term() for e in row] for row in matrix] == eye
+        eye = identity_endo(ring, n)
+        maps = [eye, random_gamma(rng, ring, n, terms=3)]
+        maps += [random_sigma_word(rng, ring, n, length=3) for _ in range(2)]
+        for sigma in maps:
+            assert sigma.linear_part() == eye.linear_part()
             with monkeypatch.context() as m:
                 m.setattr(endo_module, "lincomb", refuse)
-                det, _ = _eliminate(ring, n, matrix)
-                inv_det, inv = _eliminate(ring, n, matrix, inverse=True)
-            assert det == inv_det == _det_central(ring, n, matrix)
-            assert [[e.constant_term() for e in row] for row in inv] == mat_inv(ring, eye)
-            for i in range(n):
-                for j in range(n):
-                    acc = zero
-                    for t in range(n):
-                        acc = acc + matrix[i][t] * inv[t][j]
-                    assert acc == (one if i == j else zero)
+                self.check_both_modes(sigma.images)
 
     @pytest.mark.parametrize("ring", FIELDS, ids=str)
     def test_mixed_unit_and_general_transform_rows(self, ring, monkeypatch):
-        # constant part I with some rows replaced by general scalar rows:
-        # both branches of pass 1 run in one elimination
+        # shift . linear maps whose linear part is I with two rows replaced
+        # by general rows: the inverse keeps the other rows of I, so three
+        # rows are partials of their own image and two of a lincomb
         calls = []
 
         def counting(*args, **kwargs):
@@ -594,30 +627,26 @@ class TestEliminationKernel:
         rng = spawn(41, "kernel-mixed", str(ring))
         n = 5
         checked = 0
-        for _ in range(12):
-            matrix = []
-            for i in range(n):
-                row = [random_element(rng, ring, n, degrees=range(2, n + 1, 2),
-                                      terms=2) for _ in range(n)]
-                consts = ([ring.random(rng) for _ in range(n)] if rng.random() < 0.4
-                          else [ring.one if j == i else ring.zero for j in range(n)])
-                matrix.append([e + GrassmannElement.scalar(ring, n, c)
-                               for e, c in zip(row, consts)])
-            consts = [[e.constant_term() for e in row] for row in matrix]
-            if mat_det(ring, consts) == ring.zero:
+        while checked < 12:
+            general = rng.sample(range(n), 2)
+            a = [[ring.random(rng) for _ in range(n)] if i in general
+                 else [ring.one if j == i else ring.zero for j in range(n)]
+                 for i in range(n)]
+            if mat_det(ring, a) == ring.zero:
                 continue
+            sigma = random_gamma(rng, ring, n, terms=2).compose(linear_endo(ring, a))
+            assert sigma.linear_part() == a
             calls.clear()
-            det = _eliminate(ring, n, matrix)[0]
-            checked += 0 < len(calls) < n * n  # some rows reused, some built
-            inv_det, inv = _eliminate(ring, n, matrix, inverse=True)
-            assert det == inv_det == _det_central(ring, n, matrix)
-            assert [[e.constant_term() for e in row] for row in inv] == mat_inv(ring, consts)
-        assert checked >= 6
+            _eliminate(sigma.images)
+            assert len(calls) == 2
+            self.check_both_modes(sigma.images)
+            checked += 1
 
     @pytest.mark.parametrize("ring", FIELDS, ids=str)
     @pytest.mark.parametrize("n", range(1, 8))
     def test_images_route_matches_matrix_route(self, ring, n, monkeypatch):
-        # pass 1 from the images: one lincomb per general transform row
+        # the elimination from the images against the cofactor expansion of
+        # the matrix built from them: at most one lincomb per row
         calls = []
 
         def counting(*args, **kwargs):
@@ -635,37 +664,33 @@ class TestEliminationKernel:
                           if m.bit_count() == 1})
             maps.append(Endomorphism(images, check=False))
         for sigma in maps:
-            matrix = _skew_matrix(sigma.images)
-            det, _ = _eliminate(ring, n, matrix)
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(endo_module, "lincomb", counting)
-                got, _ = _eliminate(ring, n, matrix, images=sigma.images)
+                got, _ = _eliminate(sigma.images)
             assert len(calls) <= n
-            assert got == det == _det_central(ring, n, matrix)
-            if not is_automorphism(sigma):
-                with pytest.raises(NotInvertibleError):
-                    _eliminate(ring, n, matrix, inverse=True, images=sigma.images)
-                continue
-            got, inv = _eliminate(ring, n, matrix, inverse=True,
-                                  images=sigma.images)
-            assert (got, inv) == _eliminate(ring, n, matrix, inverse=True)
+            assert got == self.check_both_modes(sigma.images)
         assert sum(not is_automorphism(sigma) for sigma in maps) == 3
 
     def test_cofactor_table_freed_on_return(self, ring):
-        # the minors live in a dict, not in a self-referencing closure
+        # the minors live in a dict, not in a self-referencing closure;
+        # three images without linear terms leave a 3 x 3 block for it
         rng = spawn(41, "kernel-cofactor-gc", str(ring))
         n = 6
-        matrix = [[random_element(rng, ring, n, degrees=range(0, n + 1, 2),
-                                  terms=2) for _ in range(3)] for _ in range(3)]
+        images = list(random_gamma_gl(rng, ring, n).images)
+        for i in (0, 2, 4):
+            images[i] = restrict(images[i], {m: c for m, c in images[i].num.items()
+                                             if m.bit_count() != 1})
+        matrix = _skew_matrix(images)
         gc.collect()
         gc.disable()
         try:
             det = _det_central(ring, n, matrix)
+            got, _ = _eliminate(images)
             assert gc.collect() == 0
         finally:
             gc.enable()
-        assert det == _eliminate(ring, n, matrix)[0]
+        assert got == det
 
     def test_singular_linear_part_raises(self, ring):
         sigma = Endomorphism([gen(ring, 2, 2), gen(ring, 2, 2)], check=False)
@@ -676,35 +701,34 @@ class TestEliminationKernel:
     # -- pass 2: in-place accumulators, the zero-product screen, unit pivots
 
     @staticmethod
-    def check_both_modes(ring, n, matrix):
-        """Both modes of ``_eliminate`` against ``_det_central``, which is
-        returned; the inverse rows, when the matrix is invertible, multiply
-        back to I."""
+    def check_both_modes(images):
+        """Both modes of ``_eliminate`` against ``_det_central`` of the
+        Jacobian matrix, which is returned; the inverse rows, when the matrix
+        is invertible, multiply back to I."""
+        ring, n = images[0].ring, images[0].n
+        matrix = _skew_matrix(images)
         want = _det_central(ring, n, matrix)
-        assert _eliminate(ring, n, matrix)[0] == want
+        assert _eliminate(images)[0] == want
         if not ring.is_unit(want.constant_term()):
             with pytest.raises(NotInvertibleError):
-                _eliminate(ring, n, matrix, inverse=True)
+                _eliminate(images, inverse=True)
             return want
-        det, inv = _eliminate(ring, n, matrix, inverse=True)
+        det, inv = _eliminate(images, inverse=True)
         assert det == want
-        size = len(matrix)
-        for i in range(size):
-            for j in range(size):
-                got = dot(ring, n, ((matrix[i][t], inv[t][j]) for t in range(size)), n)
+        for i in range(n):
+            for j in range(n):
+                got = dot(ring, n, ((matrix[i][t], inv[t][j]) for t in range(n)), n)
                 assert got == GrassmannElement.scalar(ring, n, int(i == j))
         return want
 
-    @staticmethod
-    def parse_matrix(ring, n, rows):
-        return [[parse_element(ring, n, text) for text in row] for row in rows]
-
     @pytest.mark.parametrize("ring", FIELDS, ids=str)
     def test_screen_skips_products_that_vanish(self, ring, monkeypatch):
-        # pivot 0 is 1: row 1's multiplier x1x3 meets both x1x2 and x3x4 in
-        # a generator, so both of its products are skipped, and row 2's x1x5
-        # is skipped against x1x2 only.  Two products are formed:
-        # x1x5 * x3x4 at pivot 0 and x1x4 * x5x6 at pivot 1
+        # linear part I, so every pivot starts at 1.  Row 0 holds x3x4,
+        # -x2x4 and x2x3 in columns 1-3; row 1's multiplier x3x4 meets each
+        # of them in a generator, so all three products are skipped.  At
+        # pivot 1, row 2's multiplier x5x6 meets neither -x1x4 nor x1x3 of
+        # row 1: two products are formed, and the first makes pivot 2
+        # 1 + x1x4x5x6
         calls = []
 
         def counting(out, big, pairs, cap):
@@ -713,41 +737,40 @@ class TestEliminationKernel:
             return add_products(out, big, pairs, cap)
 
         n = 6
-        matrix = self.parse_matrix(ring, n, [
-            ["1", "x1x2", "x3x4"],
-            ["x1x3", "1", "x5x6"],
-            ["x1x5", "x1x4", "1"]])
+        sigma = endo(ring, n, "x1 -> x1 + x2x3x4; x2 -> x2 + x1x3x4; "
+                              "x3 -> x3 + x2x5x6; x4 -> x4; x5 -> x5; x6 -> x6")
         monkeypatch.setattr(endo_module, "add_products", counting)
-        det, _ = _eliminate(ring, n, matrix)
+        det, _ = _eliminate(sigma.images)
         assert calls == [1, 1]
-        assert det == parse_element(ring, n, "1 - x1x3x4x5 - x1x4x5x6")
-        self.check_both_modes(ring, n, matrix)
+        assert det == parse_element(ring, n, "1 + x1x4x5x6")
+        self.check_both_modes(sigma.images)
 
     @pytest.mark.parametrize("ring", FIELDS, ids=str)
     def test_screen_keeps_partly_overlapping_products(self, ring):
-        # every term of the multiplier holds x1, but only one term of the
-        # pivot-row entry does: f * b = x1x2x5x6 + x1x3x5x6 must be kept
+        # the multiplier x3x4 + x3x5 (row 1, column 0) holds x3 in every
+        # term, but of the pivot-row entry x3x6 + x5x6 (row 0, column 1) only
+        # x3x6 does: f * b = x3x4x5x6 must be kept
         n = 6
-        matrix = self.parse_matrix(ring, n, [
-            ["1", "x1x4 + x5x6"],
-            ["x1x2 + x1x3", "1"]])
-        want = parse_element(ring, n, "1 - x1x2x5x6 - x1x3x5x6")
-        assert _eliminate(ring, n, matrix)[0] == want
-        self.check_both_modes(ring, n, matrix)
-        # the same overlap pattern in a block with constant part diag(2, 1, 5),
+        sigma = endo(ring, n, "x1 -> x1 + x2x3x6 + x2x5x6; "
+                              "x2 -> x2 + x1x3x4 + x1x3x5; "
+                              "x3 -> x3; x4 -> x4; x5 -> x5; x6 -> x6")
+        want = parse_element(ring, n, "1 - x3x4x5x6")
+        assert _eliminate(sigma.images)[0] == want
+        self.check_both_modes(sigma.images)
+        # the same overlap pattern under the linear part diag(2, 1, 5, 1, 1, 1),
         # so pass 1 rebuilds rows 0 and 2 before pass 2 runs
-        matrix = self.parse_matrix(ring, n, [
-            ["2 + x2x3", "x1x4 + x5x6", "x2x4"],
-            ["x1x2 + x1x3", "1 + x4x6", "x1x5 + x2x6"],
-            ["x1x6", "x2x5 + x1x3", "5"]])
-        assert _eliminate(ring, n, matrix)[0].degrees() - {0}
-        self.check_both_modes(ring, n, matrix)
+        sigma = endo(ring, n, "x1 -> 2*x1 + x2x3x6 + x2x5x6; "
+                              "x2 -> x2 + x1x3x4 + x1x3x5; "
+                              "x3 -> 5*x3 + x1x2x4; x4 -> x4; x5 -> x5; x6 -> x6")
+        assert _eliminate(sigma.images)[0].degrees() - {0}
+        self.check_both_modes(sigma.images)
 
     @pytest.mark.parametrize("ring", FIELDS, ids=str)
     def test_exact_one_pivots_skip_inversion(self, ring, monkeypatch):
-        # after pass 1 every pivot is 1 + nilpotent; pivots 0 and 1 stay
-        # exactly 1 (x1x5 * x1x2 vanishes) and pivot 2 does not, so one
-        # pivot is inverted per mode
+        # linear part I, so every pivot starts at 1.  Row 1's multiplier x3x4
+        # meets every entry of row 0, so pivot 1 stays exactly 1; row 2's
+        # x5x6 takes -x2x4 of row 0 into pivot 2, 1 + x2x4x5x6, the one
+        # pivot inverted per mode
         calls = []
 
         def counting(ring, n, num, den):
@@ -755,14 +778,12 @@ class TestEliminationKernel:
             return invert_num(ring, n, num, den)
 
         n = 6
-        matrix = self.parse_matrix(ring, n, [
-            ["1", "x1x2", "x3x4"],
-            ["x1x5", "1", "x2x6"],
-            ["x2x4", "x2x6", "1 + x1x5"]])
+        sigma = endo(ring, n, "x1 -> x1 + x2x3x4; x2 -> x2 + x1x3x4; "
+                              "x3 -> x3 + x1x5x6; x4 -> x4; x5 -> x5; x6 -> x6")
         monkeypatch.setattr(endo_module, "invert_num", counting)
-        self.check_both_modes(ring, n, matrix)
-        assert len(calls) == 2
-        assert all(e != GrassmannElement.one(ring, n) for e in calls)
+        assert self.check_both_modes(sigma.images) == parse_element(
+            ring, n, "1 + x2x4x5x6")
+        assert calls == [parse_element(ring, n, "1 + x2x4x5x6")] * 2
 
     @pytest.mark.parametrize("ring", FIELDS, ids=str)
     @pytest.mark.parametrize("n", [7, 8, 9])
@@ -773,34 +794,34 @@ class TestEliminationKernel:
             gamma = random_gamma(rng, ring, n, terms=terms)
             sigma = gamma.compose(linear_endo(ring, random_invertible_matrix(rng, ring, n)))
             jac = sigma.jacobian()
-            assert jac.det == self.check_both_modes(ring, n, jac.matrix)
+            assert jac.det == self.check_both_modes(sigma.images)
 
     def test_jacobian_leaves_the_matrix_entries_alone(self, ring):
-        # identity rows of pass 1 read the numerator dicts of the matrix
-        # entries without copying them, so pass 2 must copy them before it
-        # accumulates
+        # pass 2 accumulates in place into the rows that pass 1 built, so
+        # neither the images nor a matrix read before the elimination change
         rng = spawn(41, "kernel-alias", str(ring))
         for n in (5, 7):
             for sigma in (random_sigma_word(rng, ring, n, length=3),
                           random_gamma(rng, ring, n, terms=3),
                           random_gamma_gl(rng, ring, n)):
+                before = [(dict(im.num), im.den) for im in sigma.images]
                 jac = sigma.jacobian()
+                matrix = jac.matrix
                 sigma._dual_data()
                 for inverse in (False, True):
-                    _eliminate(ring, n, jac.matrix, inverse=inverse)
-                fresh = _skew_matrix(sigma.images)
-                assert jac.matrix == fresh
+                    _eliminate(sigma.images, inverse=inverse)
+                assert [(im.num, im.den) for im in sigma.images] == before
+                assert matrix == _skew_matrix(sigma.images)
 
     def test_inverse_elimination_leaves_its_input_alone(self, ring):
+        # linear part I, so every row is the partials of its own image
         rng = spawn(41, "kernel-alias-inverse", str(ring))
         for n in (5, 7):
-            one = GrassmannElement.one(ring, n)
-            zero = GrassmannElement.zero(ring, n)
-            matrix = [[random_element(rng, ring, n, degrees=range(2, n + 1, 2), terms=3)
-                       + (one if i == j else zero) for j in range(n)] for i in range(n)]
-            before = [[(dict(e.num), e.den) for e in row] for row in matrix]
-            _eliminate(ring, n, matrix, inverse=True)
-            assert [[(e.num, e.den) for e in row] for row in matrix] == before
+            images = [gen(ring, n, i) + random_odd(rng, ring, n, min_degree=3, terms=3)
+                      for i in range(1, n + 1)]
+            before = [(dict(im.num), im.den) for im in images]
+            _eliminate(images, inverse=True)
+            assert [(im.num, im.den) for im in images] == before
 
 
 class TestNumeratorJacobian:
@@ -889,16 +910,15 @@ class TestNumeratorJacobian:
                 matrix = _skew_matrix(sigma.images)
                 want = _det_central(ring, n, matrix)
                 inverted.clear()
-                assert _eliminate(ring, n, images=sigma.images)[0] == want
+                assert _eliminate(sigma.images)[0] == want
                 exact_one += invertible and len(inverted) < n
                 if not invertible:
                     assert not want.constant_term()
                     with pytest.raises(NotInvertibleError):
-                        _eliminate(ring, n, inverse=True, images=sigma.images)
+                        _eliminate(sigma.images, inverse=True)
                     continue
-                det, inv = _eliminate(ring, n, inverse=True, images=sigma.images)
+                det, inv = _eliminate(sigma.images, inverse=True)
                 assert det == want
-                assert (det, inv) == _eliminate(ring, n, matrix, inverse=True)
                 for i in range(n):
                     for j in range(n):
                         got = dot(ring, n, ((matrix[i][t], inv[t][j])

@@ -1,12 +1,14 @@
 import pytest
 
-from conftest import composed_iteration_inverse
+from conftest import composed_iteration_inverse, dense_gamma
 from grassmann.algebra import (
     GrassmannElement,
     component,
     indices_mask,
+    invert_unit,
     odd_part,
     parse_element,
+    restrict,
 )
 from grassmann.endo import (
     Endomorphism,
@@ -578,8 +580,53 @@ class TestJacobianPreimage:
     def test_rejects_bad_target(self, ring):
         with pytest.raises(ValueError):
             jacobian_preimage(parse_element(ring, 5, "1 + x1"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="constant term 1"):
             jacobian_preimage(parse_element(ring, 5, "2 + x1x2"))
+
+
+class TestBerezinImageEquation:
+    """top(J(sigma)^-1) = 0 for even n.
+
+    This is a derivation from the Berezin integral, not the paper's text.
+    Take the integral of f to be its coefficient of x1...xn.  The change of
+    variables for odd variables carries the inverse Jacobian: the integral
+    of sigma(f) J(sigma)^-1 equals that of f, and f = 1 gives
+    top(J(sigma)^-1) = 0.  For odd n, J(sigma) is even and the equation
+    says nothing; for even n it is one equation on the image of the Jacobian
+    map."""
+
+    @staticmethod
+    def top(e):
+        return e.coefficient((1 << e.n) - 1)
+
+    @pytest.mark.parametrize("ring", [QQ, GF(7)], ids=str)
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_inverse_jacobian_has_no_top_term(self, ring, n):
+        rng = spawn(53, "berezin-image", n, str(ring))
+        maps = [random_gamma(rng, ring, n, terms=3) for _ in range(3)]
+        maps += [random_gamma_gl(rng, ring, n, terms=3) for _ in range(3)]
+        maps.append(dense_gamma(rng, ring, n))
+        tops = 0
+        for sigma in maps:
+            det = sigma.jacobian().det
+            assert self.top(invert_unit(det)) == ring.zero
+            tops += self.top(det) != ring.zero
+        assert tops  # the equation is not met by det having no top term
+
+    @pytest.mark.parametrize("ring", [QQ, GF(7)], ids=str)
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_forced_top_is_top_of_the_inverse_of_the_rest(self, ring, n):
+        # u_low + t x1...xn is an image only for t = top(u_low^-1)
+        rng = spawn(53, "berezin-preimage", n, str(ring))
+        top_mask = (1 << n) - 1
+        forced = 0
+        for _ in range(4):
+            u = GrassmannElement.one(ring, n) + random_even(rng, ring, n, terms=3 * n)
+            u_low = restrict(u, {m: c for m, c in u.num.items() if m != top_mask})
+            res = jacobian_preimage(u, exact=False)
+            assert res.forced_top == self.top(invert_unit(u_low))
+            forced += res.forced_top != ring.zero
+        assert forced
 
 
 class TestNoInverseMapBuilt:

@@ -10,9 +10,9 @@ from itertools import product
 
 import pytest
 
-from conftest import gamma_word_by_inverse
+from conftest import dense_gamma, gamma_word_by_inverse
 from grassmann.algebra import GrassmannElement, element_from_json, element_to_json
-from grassmann.endo import Endomorphism, identity_endo, inner, shift_endo
+from grassmann.endo import Endomorphism, identity_endo, inner
 from grassmann.groups import (
     _avoidance,
     decompose_gamma,
@@ -106,13 +106,6 @@ class TestGammaWordUniqueness:
             assert word.phi == phi
             for degree, cs in shifts.items():
                 assert word.xis[degree] == cs
-
-
-def dense_gamma(rng, ring, n):
-    """x_i -> x_i + every odd monomial of degree >= 3, random coefficients."""
-    return shift_endo(ring, n, [GrassmannElement(ring, n, {
-        m: ring.random_nonzero(rng) for m in range(1 << n)
-        if m.bit_count() >= 3 and m.bit_count() % 2}) for _ in range(n)])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=str)
