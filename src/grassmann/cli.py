@@ -245,25 +245,20 @@ def _cmd_verify(args) -> int:
     ring = ring_from_name(args.field)
     results = run_suite(args.suite, n=args.n, ring=ring,
                         samples=args.samples, seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "type": "verification",
-            "suite": args.suite,
-            "seed": args.seed,
-            "results": [
-                {"name": r.name, "passed": r.passed, "samples": r.samples,
-                 "detail": r.detail}
-                for r in results
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            print(r.line())
-        passed = sum(r.passed for r in results)
-        print(f"{passed}/{len(results)} checks passed")
-    return 0 if all(r.passed for r in results) else 1
+    passed = sum(r.passed for r in results)
+    _emit(args, lambda: "\n".join([*(r.line() for r in results),
+                                   f"{passed}/{len(results)} checks passed"]),
+          lambda: {
+              "type": "verification",
+              "suite": args.suite,
+              "seed": args.seed,
+              "results": [
+                  {"name": r.name, "passed": r.passed, "samples": r.samples,
+                   "detail": r.detail}
+                  for r in results
+              ],
+          })
+    return 0 if passed == len(results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,11 +42,9 @@ from .endo import (
 )
 from .linsolve import (
     AvoidanceTable,
-    SolvabilityError,
     kernel_split,
     layer_split,
     min_avoidance,
-    solve_xi_system,
     xi_particular,
 )
 from .rings import NotAUnitError, Ring, mat_inv
@@ -181,26 +179,35 @@ def _in_phi(sigma: Endomorphism, diffs) -> bool:
         im.divisible_by(i + 1) for i, im in enumerate(sigma.images))
 
 
+def _inner_part(evens) -> GrassmannElement:
+    """The particular solution a of x_i * a = -evens[i-1] / 2: conjugation by
+    1 + a, a odd, sends x_i to x_i - 2 x_i a."""
+    ring = evens[0].ring
+    half = ring.invert(ring.from_int(2))
+    return xi_particular([e.scale(-half) for e in evens])
+
+
+def _conjugator(a: GrassmannElement) -> GrassmannElement:
+    """The representative of a that conjugation by 1 + a reads: its odd
+    terms, without the top monomial x1...xn, which is central for odd n."""
+    top = (1 << a.n) - 1
+    return restrict(a, {m: c for m, c in a.num.items() if m.bit_count() % 2 and m != top})
+
+
 def omega_witness(sigma: Endomorphism) -> Optional[GrassmannElement]:
     """The odd element a with sigma = conjugation by 1 + a, or None.
 
     Found by solving x_i * a = -(sigma(x_i) - x_i) / 2 and reconstructing;
     the witness is normalized to zero top-monomial coefficient when the top
-    monomial is central.
+    monomial is central.  Only the divisibility half of the system's
+    solvability is tested up front, in O(terms): the reconstruction decides
+    membership.
     """
-    ring, n = sigma.ring, sigma.n
-    half = ring.invert(ring.from_int(2))
-    u = [d.scale(-half) for d in _differences(sigma)]
-    try:
-        family = solve_xi_system(u)
-    except SolvabilityError:
+    diffs = _differences(sigma)
+    if not all(d.divisible_by(i) for i, d in enumerate(diffs, 1)):
         return None
-    a = odd_part(family.particular)
-    if n % 2:
-        # the top monomial is central for odd n; fix the representative
-        top = (1 << n) - 1
-        a = a - GrassmannElement.monomial(ring, n, top, a.coefficient(top))
-    if inner(GrassmannElement.one(ring, n) + a) == sigma:
+    a = _conjugator(_inner_part(diffs))
+    if inner(GrassmannElement.one(sigma.ring, sigma.n) + a) == sigma:
         return a
     return None
 
@@ -467,19 +474,12 @@ def rho_endo(ring: Ring, n: int, i: int, j: int, mask: int, lam) -> Endomorphism
     return scaling_endo(ring, n, factors)
 
 
-def rho_product(ring: Ring, n: int, s: int, lambdas: dict,
-                avoid: Optional[AvoidanceTable] = None) -> Endomorphism:
-    """Ordered product of pair scalings; (i, mask) ascending, first factor leftmost."""
-    if avoid is None:
-        avoid = _avoidance(n, s)
-    factors = []
-    for i in range(1, n):
-        for mask in sorted(avoid.domain[i]):
-            lam = lambdas.get((i, mask))
-            if lam is None or lam == 0:
-                continue
-            factors.append(rho_endo(ring, n, i, avoid.target(i, mask), mask, lam))
-    return compose_all(ring, n, factors)
+def rho_product(ring: Ring, n: int, s: int, lambdas: dict) -> Endomorphism:
+    """Ordered product of the stage-s pair scalings with coefficients
+    lambdas[(i, mask)], in ``_pair_scalings`` order, first factor leftmost."""
+    return compose_all(ring, n, [
+        rho_endo(ring, n, i, j, mask, lam) for i, j, mask in _pair_scalings(n, s)
+        if (lam := lambdas.get((i, mask)))])
 
 
 def layer_scaling(ring: Ring, n: int, s: int, a: GrassmannElement) -> Endomorphism:
@@ -519,6 +519,15 @@ def _avoidance(n: int, s: int) -> AvoidanceTable:
     return _avoid_cache[key]
 
 
+def _pair_scalings(n: int, s: int) -> list:
+    """The stage-s balanced pair scalings as (i, j, support mask), i
+    ascending, then mask ascending: the one order of the generator families
+    and of the factors of ``rho_product``."""
+    avoid = _avoidance(n, s)
+    return [(i, avoid.target(i, mask), mask)
+            for i in range(1, n) for mask in sorted(avoid.domain[i])]
+
+
 # ---------------------------------------------------------------------------
 # factorizations
 
@@ -535,18 +544,8 @@ def decompose_omega_gamma_linear(sigma: Endomorphism) -> OmegaGammaLinear:
          for i, row in enumerate(a_inv)]
     gamma = shift_endo(ring, n, b)
     evens = gamma.apply_inverse_all([even_part(im) for im in sigma.images])
-    acc = xi_particular([lincomb(ring, n, zip(row, evens)) for row in a_inv])
-    half = ring.invert(ring.from_int(2))
-    a_raw = gamma.apply(acc).scale(-half)
-    # the inner part lives in odd degrees 1..n-1
-    a = odd_part(a_raw)
-    if n % 2:
-        top = (1 << n) - 1
-        a = a - GrassmannElement.monomial(ring, n, top, a.coefficient(top))
-    extra = a_raw - a
-    if extra and set(extra.num) != {(1 << n) - 1}:
-        raise DecompositionError("inner part has unexpected content off the top monomial")
-    result = OmegaGammaLinear(a=a, b=tuple(b), matrix=a_mat)
+    acc = _inner_part([lincomb(ring, n, zip(row, evens)) for row in a_inv])
+    result = OmegaGammaLinear(a=_conjugator(gamma.apply(acc)), b=tuple(b), matrix=a_mat)
     if result.recompose(ring, n) != sigma:
         raise DecompositionError("factor recomposition mismatch")
     return result
@@ -559,14 +558,12 @@ def decompose_unipotent(sigma: Endomorphism) -> UnipotentWord:
     if not member(sigma, U):
         raise DecompositionError("input does not fix generators modulo degree 2")
     one = GrassmannElement.one(ring, n)
-    half = ring.invert(ring.from_int(2))
     factors = []
     residual = sigma
     for level in range(2, n + 1):
         if level % 2 == 0:
             # inner factor: x_i * a = -1/2 times the even leading layer of x_i
-            a = xi_particular([component(d, level).scale(-half)
-                               for d in _differences(residual)])
+            a = _inner_part([component(d, level) for d in _differences(residual)])
             if a:
                 residual = residual.compose(inner(one - a))
                 factors.append(("inner", a))
@@ -576,8 +573,6 @@ def decompose_unipotent(sigma: Endomorphism) -> UnipotentWord:
                         f"inner factor did not clear level {level} at x{i}")
         else:
             leading = [component(d, level) for d in _differences(residual)]
-            if any(leading[i] != odd_part(leading[i]) for i in range(n)):
-                raise DecompositionError(f"odd level {level} has even content")
             if any(leading):
                 residual = residual.compose(shift_endo(ring, n, leading).inverse())
                 factors.append(("shift", tuple(leading)))
@@ -647,7 +642,7 @@ def decompose_sigma_prime(sigma: Endomorphism) -> SigmaPrimeWord:
             lambdas[(s, i, mask)] = c
             stage[(i, mask)] = c
         if stage:
-            factor = rho_product(ring, n, s, stage, avoid)
+            factor = rho_product(ring, n, s, stage)
             residual = Endomorphism(factor.apply_inverse_all(residual.images),
                                     check=False)
     if not residual.is_identity():
@@ -858,16 +853,9 @@ def enumerate_generators(group: GroupId, n: int) -> list:
     if kind == "sigma":
         if n < 7:
             raise ValueError("the minimal generator family needs n >= 7")
-        avoid = _avoidance(n, 1)
-        gens = [GeneratorDescriptor("rho", i, avoid.target(i, mask), mask)
-                for i in range(1, n) for mask in sorted(avoid.domain[i])]
-        gens += _triple_shift_descriptors(n, include_i=False)
-        return gens
+        return ([GeneratorDescriptor("rho", *pair) for pair in _pair_scalings(n, 1)]
+                + _triple_shift_descriptors(n, include_i=False))
     if kind == "sigma_prime":
-        gens = []
-        for s in range(1, (n - 1) // 2 + 1):
-            avoid = _avoidance(n, s)
-            gens += [GeneratorDescriptor("rho", i, avoid.target(i, mask), mask)
-                     for i in range(1, n) for mask in sorted(avoid.domain[i])]
-        return gens
+        return [GeneratorDescriptor("rho", *pair)
+                for s in range(1, (n - 1) // 2 + 1) for pair in _pair_scalings(n, s)]
     raise ValueError(f"no generator family implemented for {group}")

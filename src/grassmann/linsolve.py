@@ -189,12 +189,10 @@ def layer_split(a: GrassmannElement, s: int) -> LayerSplit2s:
         absent = full ^ mask
         label = absent.bit_length()  # largest missing 1-based index
         buckets.setdefault(label, {})[mask] = c
-    parts = {}
-    for label in range(n - 2 * s, n + 1):
-        parts[label] = restrict(a, buckets.get(label, {}))
-    leftover = set(buckets) - set(parts)
-    if leftover:
-        raise InternalSplitError(f"monomials with absent-index labels {leftover}")
+    # a degree-2s mask misses n - 2s >= 1 generators, so its label lies in
+    # n-2s..n: every bucket is one of the parts
+    parts = {label: restrict(a, buckets.get(label, {}))
+             for label in range(n - 2 * s, n + 1)}
     return LayerSplit2s(n=n, s=s, parts=parts)
 
 

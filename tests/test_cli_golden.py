@@ -12,7 +12,13 @@ in text and JSON: ``decompose --mode unipotent|gamma|sigma-prime|layers`` on
 seeded members of U, Gamma, Sigma' and Gamma at n = 5 and 6, and
 ``preimage`` on a seeded target at n = 5 (exact) and at n = 6, where the
 exact request is refused and ``--inexact`` returns the forced top
-coefficient.
+coefficient.  Then, over QQ and GF(7): ``mul`` at n = 5; ``member`` on a
+seeded member and a seeded non-member of omega, omega-graded:1, u, gamma,
+phi, sigma, sigma-prime and gamma-asc:2 at n = 5; and ``generators`` for
+sigma at n = 7 and sigma-prime at n = 5 and 6.  ``dims`` (which takes no
+field) runs on four groups, and three runs are refused with exit 2:
+``member --group gamma-asc:3``, ``dims --n 3 --group sigma`` and
+``generators --n 6 --group sigma``.
 
 Regenerate the file only for a deliberate change of output:
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -41,12 +47,18 @@ def run(argv):
             "stderr": err.getvalue()}
 
 
+def _option(record, name, default=None):
+    argv = record["argv"]
+    return argv[argv.index(name) + 1] if name in argv else default
+
+
 def _case_id(record):
     argv = record["argv"]
-    opts = dict(zip(argv[1::2], argv[2::2]))
-    return "-".join([argv[0], opts["--field"], "n" + opts["--n"],
-                     opts.get("--format", "text"),
-                     opts.get("--strategy", opts.get("--mode", "")),
+    field = _option(record, "--field")
+    return "-".join([argv[0], *([field] if field else []), "n" + _option(record, "--n"),
+                     _option(record, "--format", "text"),
+                     _option(record, "--strategy") or _option(record, "--mode")
+                     or _option(record, "--group", ""),
                      "inexact" if "--inexact" in argv else ""]).rstrip("-")
 
 
@@ -57,20 +69,30 @@ def test_cli_output_unchanged(record):
 
 
 def test_fixture_covers_both_fields_and_failures():
-    fields = {r["argv"][r["argv"].index("--field") + 1] for r in RECORDS}
-    assert fields == {"rational", "prime:7"}
-    assert {r["argv"][0] for r in RECORDS} == {"invert", "apply", "jacobian",
-                                               "decompose", "preimage"}
+    fields = {_option(r, "--field") for r in RECORDS}
+    assert fields == {"rational", "prime:7", None}  # None: dims takes no field
+    assert {r["argv"][0] for r in RECORDS} == {
+        "mul", "apply", "jacobian", "invert", "decompose", "member", "preimage",
+        "dims", "generators"}
     for field in ("rational", "prime:7"):
-        runs = [r for r in RECORDS if r["argv"][r["argv"].index("--field") + 1] == field]
-        modes = {r["argv"][r["argv"].index("--mode") + 1] for r in runs
-                 if r["argv"][0] == "decompose"}
+        runs = [r for r in RECORDS if _option(r, "--field") == field]
+        modes = {_option(r, "--mode") for r in runs if r["argv"][0] == "decompose"}
         assert modes == {"oga", "unipotent", "gamma", "sigma-prime", "layers"}
-        preimages = {(r["argv"][r["argv"].index("--n") + 1], "--inexact" in r["argv"],
-                      r["code"]) for r in runs if r["argv"][0] == "preimage"}
+        preimages = {(_option(r, "--n"), "--inexact" in r["argv"], r["code"])
+                     for r in runs if r["argv"][0] == "preimage"}
         assert preimages == {("5", False, 0), ("6", False, 1), ("6", True, 0)}
+        verdicts = {(_option(r, "--group"), r["stdout"]) for r in runs
+                    if r["argv"][0] == "member" and r["code"] == 0
+                    and _option(r, "--format", "text") == "text"}
+        groups = ("omega", "omega-graded:1", "u", "gamma", "phi", "sigma",
+                  "sigma-prime", "gamma-asc:2")
+        assert verdicts == {(g, v) for g in groups for v in ("true\n", "false\n")}
+        families = {(_option(r, "--group"), _option(r, "--n")) for r in runs
+                    if r["argv"][0] == "generators" and r["code"] == 0}
+        assert families == {("sigma", "7"), ("sigma-prime", "5"), ("sigma-prime", "6")}
     failures = [r for r in RECORDS if r["code"] == 2]
     assert failures and all(r["stderr"].startswith("error: ") for r in failures)
+    assert {r["argv"][0] for r in failures} >= {"member", "dims", "generators"}
     refused = [r for r in RECORDS if r["code"] == 1]
     assert refused and all(r["stdout"].startswith(("no preimage: ", "{"))
                            for r in refused)
@@ -155,6 +177,38 @@ def _generate():
         target = format_element(even)
         argvs += formats(["preimage", "--n", "6", "--field", field, target])
         argvs += formats(["preimage", "--n", "6", "--field", field, "--inexact", target])
+    for ring, field in ((QQ, "rational"), (GF(7), "prime:7")):
+        rng = random.Random(f"cli-golden:groups:{field}")
+        argvs += formats(["mul", "--n", "5", "--field", field,
+                          format_element(element(rng, ring, 5)),
+                          format_element(element(rng, ring, 5))])
+        for group, inside, outside in (
+                ("omega", sampling.random_omega, sampling.random_phi),
+                ("omega-graded:1", sampling.random_omega, sampling.random_gamma),
+                ("u", sampling.random_unipotent, sampling.random_gamma_gl),
+                ("gamma", sampling.random_gamma, sampling.random_omega),
+                ("phi", sampling.random_phi, sampling.random_gamma),
+                ("sigma", sampling.random_sigma_word, sampling.random_phi),
+                ("sigma-prime", sampling.random_sigma_prime_word,
+                 sampling.random_sigma_word),
+                ("gamma-asc:2", sampling.random_gamma, sampling.random_omega)):
+            for sample in (inside, outside):
+                argvs += formats(["member", "--n", "5", "--field", field, "--endo",
+                                  format_endomorphism(sample(rng, ring, 5)),
+                                  "--group", group])
+        for n, group in ((7, "sigma"), (5, "sigma-prime"), (6, "sigma-prime")):
+            argvs += formats(["generators", "--n", str(n), "--field", field,
+                              "--group", group])
+    for n, group in ((7, "sigma"), (6, "sigma-prime"), (6, "gamma-asc:4"),
+                     (6, "gamma/sigma")):
+        argvs += [["dims", "--n", str(n), "--format", fmt, "--group", group]
+                  for fmt in ("text", "json")]
+    rng = random.Random("cli-golden:refusals")
+    argvs += [["member", "--n", "5", "--field", "rational", "--endo",
+               format_endomorphism(sampling.random_gamma(rng, QQ, 5)),
+               "--group", "gamma-asc:3"],
+              ["dims", "--n", "3", "--group", "sigma"],
+              ["generators", "--n", "6", "--field", "rational", "--group", "sigma"]]
     with FIXTURE.open("w") as fh:
         json.dump([run(argv) for argv in argvs], fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -1083,7 +1083,7 @@ def unipotent_maps(rng, ring, n):
         avoid = _avoidance(n, s)
         lambdas = {(i, mask): ring.random(rng) for i in range(1, n)
                    for mask in avoid.domain[i] if rng.random() < 0.5}
-        maps.append(rho_product(ring, n, s, lambdas, avoid))
+        maps.append(rho_product(ring, n, s, lambdas))
     odd = [d for d in range(3, n + 1, 2)]
     if odd:
         maps.append(shift_endo(ring, n, [GrassmannElement(

@@ -24,6 +24,7 @@ from grassmann.endo import (
 from grassmann.groups import (
     GAMMA,
     GroupId,
+    MembershipError,
     NoPreimageError,
     OMEGA,
     PHI,
@@ -100,6 +101,12 @@ class TestGroupId:
             GroupId("gamma_asc")
         with pytest.raises(ValueError):
             GroupId("nonsense")
+
+    def test_parameter_presence_pinned(self):
+        with pytest.raises(ValueError, match="group gamma takes no parameter"):
+            GroupId("gamma", 2)
+        with pytest.raises(ValueError, match="group gamma_asc needs a parameter"):
+            GroupId("gamma_asc")
 
 
 class TestMembership:
@@ -232,6 +239,21 @@ class TestMembership:
         stage2 = rho_endo(ring, n, 1, 2, indices_mask((3, 4, 5, 6)), ring.one)
         assert member(stage2, SIGMA_PRIME)
         assert member(stage2, SIGMA_DOUBLE_PRIME)
+
+    @pytest.mark.parametrize("group, message", [
+        (GroupId("omega_graded", 2), "odd step"),
+        (GroupId("gamma_graded", 3), "even step"),
+        (GroupId("gamma_asc", 3), "even and >= 2"),
+        (GroupId("g_zgraded", 1), "modulus must be >= 2"),
+        (GroupId("phi_at", 0), "index 0 out of range"),
+        (GroupId("phi_at", 6), "index 6 out of range"),
+        (GroupId("phi_prime_layer", 4), "odd levels"),
+        (GroupId("phi_prime_layer", 7), "level 7 out of range for n=5"),
+    ])
+    def test_bad_parameter_refused(self, ring, group, message):
+        # the identity is an automorphism, so the parameter check is reached
+        with pytest.raises(MembershipError, match=message):
+            member(identity_endo(ring, 5), group)
 
     def test_non_automorphism_everywhere_false(self, ring):
         sigma = Endomorphism([gen(ring, 2, 2), gen(ring, 2, 2)], check=False)
@@ -847,7 +869,7 @@ class TestStructureFacts:
                 table = _avoidance(n, s)
                 lambdas, residual = kernel_split(layer, s, table)
                 section = layer_scaling(ring, n, s, residual.reassemble(ring))
-                pairs = rho_product(ring, n, s, lambdas, table)
+                pairs = rho_product(ring, n, s, lambdas)
                 recomposed = section.compose(pairs)
                 # agreement of the degree-2s layers
                 for i in range(1, n + 1):

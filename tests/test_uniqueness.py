@@ -141,7 +141,7 @@ class TestSigmaPrimeUniqueness:
                     if lam != 0:
                         stage[(i, m)] = lam
                         lambdas[(s, i, m)] = lam
-                acc = acc.compose(rho_product(ring, n, s, stage, table))
+                acc = acc.compose(rho_product(ring, n, s, stage))
             word = decompose_sigma_prime(acc)
             assert word.lambdas == lambdas
 
