@@ -3,7 +3,6 @@
 from .algebra import (
     DimensionMismatchError,
     GrassmannElement,
-    Monomial,
     component,
     even_part,
     format_element,
@@ -20,20 +19,15 @@ from .endo import (
     NotInvertibleError,
     NotUnipotentError,
     ParityError,
-    apply,
-    compose,
     coordinate_shift,
     format_endomorphism,
     identity_endo,
     inner,
-    inverse,
     is_automorphism,
-    jacobian,
     linear_endo,
     parse_endomorphism,
     scaling_endo,
     shift_endo,
-    skew_partial_prime,
 )
 from .groups import (
     GroupId,
@@ -49,7 +43,6 @@ from .groups import (
     member,
     parse_group_id,
 )
-from .identities import check_identity
 from .linsolve import (
     CoordinateSplit,
     SolvabilityError,

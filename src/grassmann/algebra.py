@@ -30,32 +30,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator
 
-from .rings import Coefficient, NotAUnitError, Ring, parse_ratio
+from .rings import NotAUnitError, Ring, parse_ratio
 
 MAX_GENERATORS = 16
 
 
 class DimensionMismatchError(ValueError):
     """Operands live over different generator counts or rings."""
-
-
-class Monomial(NamedTuple):
-    """A basis monomial: the product of the generators in ``mask``, ascending."""
-
-    mask: int
-    n: int
-
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(mask_indices(self.mask))
-
-    def __str__(self) -> str:
-        return mask_str(self.mask)
 
 
 def mask_indices(mask: int) -> Iterator[int]:
@@ -499,8 +482,6 @@ class GrassmannElement:
 
 
 _new = object.__new__
-
-Scalar = Union[Coefficient, int]
 
 
 def component(e: GrassmannElement, selector) -> GrassmannElement:

@@ -11,7 +11,7 @@ from itertools import combinations
 from math import comb
 
 from .algebra import check_n
-from .groups import normalize_group_name
+from .groups import ascent_step, normalize_group_name
 from .linsolve import admissible_supports
 
 
@@ -55,11 +55,8 @@ def dim_formula(group, n: int) -> int:
     if kind == "xi_space":
         return n * (2 ** (n - 2) - n + 1)
     if kind == "gamma_asc":
-        if param is None or param < 2 or param % 2:
-            raise ValueError("ascent levels are even parameters >= 2, e.g. gamma-asc:4")
-        s = param // 2
         return dim_formula("sigma", n) + sum(
-            comb(n, 2 * i) for i in range(s, (n - 1) // 2 + 1))
+            comb(n, 2 * i) for i in range(ascent_step(param), (n - 1) // 2 + 1))
     if kind == "gamma_mod_sigma":
         return 2 ** (n - 1) - pi
     if kind == "sigma_mod_double_prime":
@@ -123,11 +120,8 @@ def dim_by_coordinates(group, n: int) -> int:
     if kind == "gamma_mod_sigma":
         return sum(_count_monomials(n, 2 * s) for s in range(1, (n - 1) // 2 + 1))
     if kind == "gamma_asc":
-        if param is None or param < 2 or param % 2:
-            raise ValueError("ascent levels are even parameters >= 2, e.g. gamma-asc:4")
-        s = param // 2
-        extra = sum(_count_monomials(n, 2 * i) for i in range(s, (n - 1) // 2 + 1))
-        return dim_by_coordinates("sigma", n) + extra
+        return dim_by_coordinates("sigma", n) + sum(
+            _count_monomials(n, 2 * i) for i in range(ascent_step(param), (n - 1) // 2 + 1))
     raise ValueError(f"no coordinate count for {kind!r}")
 
 

@@ -204,17 +204,10 @@ class Endomorphism:
         """sigma(e): ``apply_all`` of the one element."""
         return self.apply_all((e,))[0]
 
-    __call__ = apply
-
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other: (self.compose(other))(x_i) = self(other(x_i)),
         one ``apply_all`` of other's images."""
         return Endomorphism(self.apply_all(other.images), check=False)
-
-    def __mul__(self, other):
-        if not isinstance(other, Endomorphism):
-            return NotImplemented
-        return self.compose(other)
 
     def __eq__(self, other):
         if not isinstance(other, Endomorphism):
@@ -709,28 +702,6 @@ def is_automorphism(sigma: Endomorphism) -> bool:
     return sigma.ring.is_unit(mat_det(sigma.ring, sigma.linear_part()))
 
 
-# -- module-level aliases matching the operation names ---------------------
-
-def apply(sigma: Endomorphism, e: GrassmannElement) -> GrassmannElement:
-    return sigma.apply(e)
-
-
-def compose(sigma: Endomorphism, tau: Endomorphism) -> Endomorphism:
-    return sigma.compose(tau)
-
-
-def jacobian(sigma: Endomorphism) -> JacobianData:
-    return sigma.jacobian()
-
-
-def skew_partial_prime(sigma: Endomorphism, i: int, e: GrassmannElement) -> GrassmannElement:
-    return sigma.dual_skew_partial(i, e)
-
-
-def inverse(sigma: Endomorphism, strategy: str = "iteration") -> Endomorphism:
-    return sigma.inverse(strategy)
-
-
 # -- text format ------------------------------------------------------------
 #
 # one mapping per generator:  x1 -> x1 + x2x3x4; x2 -> x2; ...
@@ -757,8 +728,8 @@ def parse_endomorphism(ring: Ring, n: int, text: str, *, check: bool = True) -> 
     return Endomorphism([images[i] for i in range(1, n + 1)], check=check)
 
 
-def format_endomorphism(sigma: Endomorphism, sep: str = "; ") -> str:
-    return sep.join(
+def format_endomorphism(sigma: Endomorphism) -> str:
+    return "; ".join(
         f"x{i + 1} -> {format_element(im)}" for i, im in enumerate(sigma.images))
 
 

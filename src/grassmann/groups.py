@@ -66,25 +66,6 @@ class NoPreimageError(ValueError):
 # ---------------------------------------------------------------------------
 # group identifiers
 
-_PARAMETRIC_KINDS = {
-    "omega_graded": "odd grading step s (odd, 1 <= s <= n)",
-    "gamma_pow": "filtration level i >= 2",
-    "gamma_asc": "even Jacobian valuation bound 2s",
-    "gamma_graded": "even grading step s",
-    "u_pow": "filtration level i >= 2",
-    "phi_at": "coordinate index i",
-    "phi_pow": "odd filtration level",
-    "phi_prime_layer": "odd layer level 2s+1",
-    "sigma_prime_pow": "odd filtration level",
-    "g_zgraded": "grading modulus s >= 2",
-}
-
-_PLAIN_KINDS = {
-    "omega", "gamma", "u", "phi", "phi_prime", "sigma", "sigma_prime",
-    "sigma_double_prime", "g_even", "g_odd",
-}
-
-
 @dataclass(frozen=True)
 class GroupId:
     """A named subgroup, optionally parameterized (filtration level etc.)."""
@@ -93,15 +74,13 @@ class GroupId:
     param: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind in _PLAIN_KINDS:
-            if self.param is not None:
-                raise ValueError(f"group {self.kind} takes no parameter")
-        elif self.kind in _PARAMETRIC_KINDS:
-            if self.param is None:
-                raise ValueError(
-                    f"group {self.kind} needs a parameter: {_PARAMETRIC_KINDS[self.kind]}")
-        else:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}")
+        needs = _KINDS[self.kind][1]
+        if needs is None and self.param is not None:
+            raise ValueError(f"group {self.kind} takes no parameter")
+        if needs is not None and self.param is None:
+            raise ValueError(f"group {self.kind} needs a parameter: {needs}")
 
     def __str__(self):
         return self.kind if self.param is None else f"{self.kind}:{self.param}"
@@ -135,16 +114,12 @@ def parse_group_id(text: str) -> GroupId:
     return GroupId(*normalize_group_name(text))
 
 
-OMEGA = GroupId("omega")
-GAMMA = GroupId("gamma")
-U = GroupId("u")
-PHI = GroupId("phi")
-PHI_PRIME = GroupId("phi_prime")
-SIGMA = GroupId("sigma")
-SIGMA_PRIME = GroupId("sigma_prime")
-SIGMA_DOUBLE_PRIME = GroupId("sigma_double_prime")
-G_EVEN = GroupId("g_even")
-G_ODD = GroupId("g_odd")
+def ascent_step(level: Optional[int]) -> int:
+    """s of the Jacobian ascent of valuation bound ``level`` = 2s: the one
+    rule for ascent levels, shared by membership and the dimension formulas."""
+    if level is None or level < 2 or level % 2:
+        raise MembershipError("Jacobian ascent levels are even and >= 2")
+    return level // 2
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +145,20 @@ def _jacobian_one(sigma: Endomorphism) -> bool:
     return sigma.jacobian().det == GrassmannElement.one(sigma.ring, sigma.n)
 
 
-def _in_gamma(diffs) -> bool:
-    return _level(diffs) >= 3 and all(d == odd_part(d) for d in diffs)
+def _in_gamma(sigma: Endomorphism, level: int = 3) -> bool:
+    """Odd differences of degree >= 3, and >= ``level``: the shift group and
+    its filtration."""
+    diffs = _differences(sigma)
+    return _level(diffs) >= max(level, 3) and all(d == odd_part(d) for d in diffs)
 
 
-def _in_phi(sigma: Endomorphism, diffs) -> bool:
-    return _in_gamma(diffs) and all(
-        im.divisible_by(i + 1) for i, im in enumerate(sigma.images))
+def _scales(sigma: Endomorphism) -> bool:
+    """Each sigma(x_i) is divisible by x_i."""
+    return all(im.divisible_by(i) for i, im in enumerate(sigma.images, 1))
+
+
+def _in_phi(sigma: Endomorphism, level: int = 3) -> bool:
+    return _in_gamma(sigma, level) and _scales(sigma)
 
 
 def _inner_part(evens) -> GrassmannElement:
@@ -212,111 +194,116 @@ def omega_witness(sigma: Endomorphism) -> Optional[GrassmannElement]:
     return None
 
 
-def member(sigma: Endomorphism, group: GroupId, *, witness: bool = False):
-    """Decide membership of an automorphism in the named subgroup.
-
-    With witness=True returns (flag, data) where data is group-specific
-    (currently: the conjugator element for the inner-automorphism groups).
-    """
-    flag, data = _member_witness(sigma, group)
-    return (flag, data) if witness else flag
-
-
-def _member_witness(sigma: Endomorphism, group: GroupId):
-    ring, n = sigma.ring, sigma.n
-    kind, param = group.kind, group.param
-
-    if not is_automorphism(sigma):
-        return False, None
-
-    if kind == "phi_prime":
-        return all(im.divisible_by(i + 1) for i, im in enumerate(sigma.images)), None
-    if kind == "g_even":
-        return all(not odd_part(im - component(im, 1)) for im in sigma.images), None
-    if kind == "g_odd":
-        return sigma.has_odd_images(), None
-    if kind == "g_zgraded":
-        if param < 2:
-            raise MembershipError("grading modulus must be >= 2")
-        allowed = {d for d in range(n + 1) if d % param == 1 % param}
-        return all(im.degrees() <= allowed for im in sigma.images), None
-    if kind == "omega":
-        a = omega_witness(sigma)
-        return a is not None, a
-    if kind == "omega_graded":
-        if param < 1 or param % 2 == 0:
-            raise MembershipError("graded inner groups need an odd step s >= 1")
-        a = omega_witness(sigma)
-        if a is None:
-            return False, None
-        allowed = {j * param for j in range(1, n // param + 1, 2)}
-        proj = restrict(a, {m: c for m, c in a.num.items() if m.bit_count() in allowed})
-        if inner(GrassmannElement.one(ring, n) + proj) == sigma:
-            return True, proj
-        return False, None
-
-    # the remaining groups are cut out by the differences sigma(x_i) - x_i
-    diffs = _differences(sigma)
-    if kind == "u":
-        return _level(diffs) >= 2, None
-    if kind == "u_pow":
-        return _level(diffs) >= param, None
-    if kind == "gamma":
-        return _in_gamma(diffs), None
-    if kind == "gamma_pow":
-        return _in_gamma(diffs) and _level(diffs) >= param, None
-    if kind == "gamma_graded":
-        if param < 2 or param % 2:
-            raise MembershipError("graded shift groups need an even step s >= 2")
-        if not _in_gamma(diffs):
-            return False, None
-        allowed = {1 + j * param for j in range(1, n // param + 1)}
-        return all(d.degrees() <= allowed for d in diffs), None
-    if kind == "phi":
-        return _in_phi(sigma, diffs), None
-    if kind == "phi_at":
-        if not 1 <= param <= n:
-            raise MembershipError(f"coordinate index {param} out of range")
-        return _in_gamma(diffs) and sigma.images[param - 1].divisible_by(param), None
-    if kind == "phi_pow":
-        return _in_phi(sigma, diffs) and _level(diffs) >= param, None
-    if kind == "phi_prime_layer":
-        return _in_phi_prime_layer(sigma, diffs, param), None
-    if kind == "sigma":
-        return _in_gamma(diffs) and _jacobian_one(sigma), None
-    if kind == "sigma_prime":
-        return _in_phi(sigma, diffs) and _jacobian_one(sigma), None
-    if kind == "sigma_prime_pow":
-        return (_in_phi(sigma, diffs) and _jacobian_one(sigma)
-                and _level(diffs) >= param), None
-    if kind == "gamma_asc":
-        if param < 2 or param % 2:
-            raise MembershipError("Jacobian ascent levels are even and >= 2")
-        return _in_gamma(diffs) and sigma.jacobian().valuation >= param, None
-    if kind == "sigma_double_prime":
-        if not (_in_gamma(diffs) and _jacobian_one(sigma)):
-            return False, None
-        phi = decompose_gamma(sigma).phi
-        return member(phi, SIGMA_PRIME) and _level(_differences(phi)) >= 5, None
-    raise MembershipError(f"unsupported group {group}")
-
-
-def _in_phi_prime_layer(sigma: Endomorphism, diffs, level: int) -> bool:
-    """The scaling subgroup whose first layer lies in the canonical section."""
-    n = sigma.n
-    if level < 3 or level % 2 == 0:
-        raise MembershipError("layer groups are indexed by odd levels 2s+1 >= 3")
-    s = (level - 1) // 2
-    if s > (n - 1) // 2:
-        raise MembershipError(f"layer level {level} out of range for n={n}")
-    if not _in_phi(sigma, diffs) or _level(diffs) < level:
+def _in_omega_graded(sigma: Endomorphism, s: int) -> bool:
+    """Conjugation by 1 + a, a supported on the degrees js with j odd."""
+    a = omega_witness(sigma)
+    if a is None:
         return False
-    for i in range(1, n + 1):
+    allowed = {j * s for j in range(1, sigma.n // s + 1, 2)}
+    proj = restrict(a, {m: c for m, c in a.num.items() if m.bit_count() in allowed})
+    return inner(GrassmannElement.one(sigma.ring, sigma.n) + proj) == sigma
+
+
+def _in_gamma_graded(sigma: Endomorphism, s: int) -> bool:
+    """A shift whose differences lie in the degrees 1 + js, j >= 1."""
+    allowed = {1 + j * s for j in range(1, sigma.n // s + 1)}
+    return _in_gamma(sigma) and all(d.degrees() <= allowed for d in _differences(sigma))
+
+
+def _in_zgraded(sigma: Endomorphism, s: int) -> bool:
+    """Every image lies in the degrees congruent to 1 mod s."""
+    allowed = {d for d in range(sigma.n + 1) if d % s == 1 % s}
+    return all(im.degrees() <= allowed for im in sigma.images)
+
+
+def _in_phi_prime_layer(sigma: Endomorphism, level: int) -> bool:
+    """The scaling subgroup whose first layer lies in the canonical section."""
+    if not _in_phi(sigma, level):
+        return False
+    s = (level - 1) // 2
+    for i in range(1, sigma.n + 1):
         # x_i * a_i == image; the layer of a_i must be the label-i part
         b_i = component(skew_partial(i, sigma.images[i - 1]), 2 * s)
         if any(part for label, part in layer_split(b_i, s).parts.items() if label != i):
             return False
     return True
+
+
+def _in_sigma_double_prime(sigma: Endomorphism, _) -> bool:
+    """A Jacobian-1 shift whose scaling part is a Jacobian-1 scaling of
+    filtration level >= 5."""
+    if not (_in_gamma(sigma) and _jacobian_one(sigma)):
+        return False
+    phi = decompose_gamma(sigma).phi
+    return _in_phi(phi, 5) and _jacobian_one(phi)
+
+
+_KINDS = {
+    # kind: (predicate(sigma, param) on automorphisms, the parameter or None)
+    "omega": (lambda sigma, _: omega_witness(sigma) is not None, None),
+    "omega_graded": (_in_omega_graded, "odd grading step s >= 1"),
+    "u": (lambda sigma, _: _level(_differences(sigma)) >= 2, None),
+    "u_pow": (lambda sigma, i: _level(_differences(sigma)) >= i, "filtration level i"),
+    "gamma": (lambda sigma, _: _in_gamma(sigma), None),
+    "gamma_pow": (_in_gamma, "filtration level i"),
+    "gamma_graded": (_in_gamma_graded, "even grading step s >= 2"),
+    "gamma_asc": (lambda sigma, bound: _in_gamma(sigma) and sigma.jacobian().valuation >= bound,
+                  "even Jacobian valuation bound 2s >= 2"),
+    "phi": (lambda sigma, _: _in_phi(sigma), None),
+    "phi_at": (lambda sigma, i: _in_gamma(sigma) and sigma.images[i - 1].divisible_by(i),
+               "coordinate index 1 <= i <= n"),
+    "phi_pow": (_in_phi, "filtration level i"),
+    "phi_prime": (lambda sigma, _: _scales(sigma), None),
+    "phi_prime_layer": (_in_phi_prime_layer, "odd layer level 3 <= 2s+1 <= n"),
+    "sigma": (lambda sigma, _: _in_gamma(sigma) and _jacobian_one(sigma), None),
+    "sigma_prime": (lambda sigma, _: _in_phi(sigma) and _jacobian_one(sigma), None),
+    "sigma_prime_pow": (lambda sigma, i: _in_phi(sigma, i) and _jacobian_one(sigma),
+                        "filtration level i"),
+    "sigma_double_prime": (_in_sigma_double_prime, None),
+    "g_even": (lambda sigma, _: all(not odd_part(im - component(im, 1))
+                                    for im in sigma.images), None),
+    "g_odd": (lambda sigma, _: sigma.has_odd_images(), None),
+    "g_zgraded": (_in_zgraded, "grading modulus s >= 2"),
+}
+
+OMEGA = GroupId("omega")
+GAMMA = GroupId("gamma")
+U = GroupId("u")
+PHI = GroupId("phi")
+PHI_PRIME = GroupId("phi_prime")
+SIGMA = GroupId("sigma")
+SIGMA_PRIME = GroupId("sigma_prime")
+SIGMA_DOUBLE_PRIME = GroupId("sigma_double_prime")
+G_EVEN = GroupId("g_even")
+G_ODD = GroupId("g_odd")
+
+
+def _check_param(group: GroupId, n: int) -> None:
+    """Refuse a parameter outside the range its kind is defined for."""
+    kind, p = group.kind, group.param
+    if kind == "omega_graded" and (p < 1 or p % 2 == 0):
+        raise MembershipError("graded inner groups need an odd step s >= 1")
+    if kind == "gamma_graded" and (p < 2 or p % 2):
+        raise MembershipError("graded shift groups need an even step s >= 2")
+    if kind == "gamma_asc":
+        ascent_step(p)
+    if kind == "g_zgraded" and p < 2:
+        raise MembershipError("grading modulus must be >= 2")
+    if kind == "phi_at" and not 1 <= p <= n:
+        raise MembershipError(f"coordinate index {p} out of range")
+    if kind == "phi_prime_layer":
+        if p < 3 or p % 2 == 0:
+            raise MembershipError("layer groups are indexed by odd levels 2s+1 >= 3")
+        if p > n:
+            raise MembershipError(f"layer level {p} out of range for n={n}")
+
+
+def member(sigma: Endomorphism, group: GroupId) -> bool:
+    """Whether sigma lies in the named subgroup.  A parameter outside the
+    range of its kind raises ``MembershipError`` whatever sigma is; a map
+    that is not an automorphism lies in no subgroup."""
+    _check_param(group, sigma.n)
+    return is_automorphism(sigma) and _KINDS[group.kind][0](sigma, group.param)
 
 
 # ---------------------------------------------------------------------------

@@ -389,33 +389,3 @@ def nonnormality_witness(ring: Ring) -> bool:
     conj = sigma.compose(tau).compose(sigma.inverse())
     return not member(conj, SIGMA)
 
-
-IDENTITY_CHECKS = {
-    "gcom1": check_gcom1,
-    "gcom2": check_gcom2,
-    "xijam": check_xijam,
-    "xijam1": check_xijam1,
-    "com1": check_com1,
-    "dvac1": check_dvac1,
-    "dvac2": check_dvac2,
-    "g3ab": check_g3ab,
-    "g4ab": check_g4ab,
-    "g5ab": check_g5ab,
-    "g6ab": check_g6ab,
-    "xipq1": check_xipq1,
-    "xipq2": check_xipq2,
-    "mul1": check_mul1,
-    "invabA": check_invabA,
-    "slsA": check_slsA,
-    "AL2": check_al2,
-    "law-n3": check_group_law_n3,
-}
-
-
-def check_identity(tag: str, ring: Ring, *args, **kwargs) -> bool:
-    """Dispatch an identity check by tag; see IDENTITY_CHECKS for the names."""
-    try:
-        fn = IDENTITY_CHECKS[tag]
-    except KeyError:
-        raise ValueError(f"unknown identity tag {tag!r}") from None
-    return fn(ring, *args, **kwargs)

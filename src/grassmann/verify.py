@@ -59,12 +59,23 @@ from .groups import (
 from .identities import (
     _top_shift,
     check_al2,
+    check_com1,
+    check_dvac1,
+    check_dvac2,
+    check_g3ab,
+    check_g4ab,
     check_g5ab,
+    check_g6ab,
+    check_gcom1,
+    check_gcom2,
     check_group_law_n3,
-    check_identity,
     check_invabA,
     check_mul1,
     check_slsA,
+    check_xijam,
+    check_xijam1,
+    check_xipq1,
+    check_xipq2,
     nonnormality_witness,
 )
 from .linsolve import SolvabilityError, solve_partial_system, solve_xi_system
@@ -730,10 +741,10 @@ def check_graded_groups(ring, n, k, rng):
 # ---------------------------------------------------------------------------
 # dimensions, exhaustive small cases, preimages
 
-def check_dimension_tables(n_values=range(4, 11)) -> CheckResult:
+def check_dimension_tables() -> CheckResult:
     failures = []
     count = 0
-    for n in n_values:
+    for n in range(4, 11):
         for g in DIM_GROUPS:
             count += 1
             if dim_formula(g, n) != dim_by_coordinates(g, n):
@@ -746,10 +757,10 @@ def check_dimension_tables(n_values=range(4, 11)) -> CheckResult:
     return _result("dimension formulas vs coordinate counts", failures, count)
 
 
-def check_dimension_consistency(n_values=range(4, 11)) -> CheckResult:
+def check_dimension_consistency() -> CheckResult:
     failures = []
     count = 0
-    for n in n_values:
+    for n in range(4, 11):
         count += 2
         pi = 2 if n % 2 == 0 else 1
         if dim_formula("sigma", n) != dim_formula("sigma_prime", n) + dim_formula("xi_space", n):
@@ -763,10 +774,10 @@ def check_dimension_consistency(n_values=range(4, 11)) -> CheckResult:
     return _result("dimension consistency identities", failures, count)
 
 
-def check_n3_exhaustive(p: int = 3) -> CheckResult:
+def check_n3_exhaustive() -> CheckResult:
     """n = 3 over GF(3): the Jacobian map is a bijection and its kernel is trivial."""
+    p, n = 3, 3
     ring = GF(p)
-    n = 3
     failures = []
     seen = {}
     count = 0
@@ -837,28 +848,24 @@ def check_identity_battery(ring: Ring, seed) -> CheckResult:
     rng = spawn(seed, "ident")
     lam, mu, nu = (ring.random_nonzero(rng) for _ in range(3))
     cases = [
-        ("gcom1", lambda: check_identity("gcom1", ring, 7, 1, 2, (3, 4, 5), (6, 7), lam, mu)),
-        ("gcom2", lambda: check_identity("gcom2", ring, 6, 1, (2, 3), (4, 5, 6), lam, mu)),
-        ("xijam", lambda: check_identity("xijam", ring, 7, 1, 2, (3, 4), (5, 6, 7), lam, mu)),
-        ("xijam1-overlap", lambda: check_identity(
-            "xijam1", ring, 5, 1, 2, (3, 4, 5), (3, 4, 5), lam, mu)),
-        ("xijam1-disjoint", lambda: check_identity(
-            "xijam1", ring, 8, 1, 2, (3, 4, 5), (6, 7, 8), lam, mu)),
-        ("com1", lambda: check_identity("com1", ring, 6, 1, 2, (3, 4), (5, 6), lam, mu)),
-        ("dvac1", lambda: check_identity(
-            "dvac1", ring, 8, 1, 2, (3, 4), (5, 6), (7, 8), lam, mu, nu)),
-        ("dvac2-overlap", lambda: check_identity(
-            "dvac2", ring, 7, 1, 2, (3, 4), (5, 6), (3, 6, 7), lam, mu, nu)),
-        ("g3ab-m1", lambda: check_identity("g3ab", ring, 5, (1, 2, 3, 4, 5), lam)),
-        ("g3ab-m2", lambda: check_identity("g3ab", ring, 7, (1, 2, 3, 4, 5, 6, 7), lam)),
-        ("g4ab-m2", lambda: check_identity("g4ab", ring, 6, 1, (2, 3, 4, 5, 6), lam)),
-        ("g4ab-m3", lambda: check_identity("g4ab", ring, 8, 2, (1, 3, 4, 5, 6, 7, 8), lam)),
-        ("g6ab-m1", lambda: check_identity("g6ab", ring, 5, (1, 2, 3), lam)),
-        ("g6ab-m2", lambda: check_identity("g6ab", ring, 5, (1, 2, 3, 4, 5), lam)),
-        ("g6ab-m3", lambda: check_identity("g6ab", ring, 7, (1, 2, 3, 4, 5, 6, 7), lam)),
-        ("xipq1-m0", lambda: check_identity("xipq1", ring, 8, 1, 2, (), 3, 4, 5, lam)),
-        ("xipq2-m0", lambda: check_identity(
-            "xipq2", ring, 7, 1, 2, ((3, 4),), 5, 6, 7, lam)),
+        ("gcom1", lambda: check_gcom1(ring, 7, 1, 2, (3, 4, 5), (6, 7), lam, mu)),
+        ("gcom2", lambda: check_gcom2(ring, 6, 1, (2, 3), (4, 5, 6), lam, mu)),
+        ("xijam", lambda: check_xijam(ring, 7, 1, 2, (3, 4), (5, 6, 7), lam, mu)),
+        ("xijam1-overlap", lambda: check_xijam1(ring, 5, 1, 2, (3, 4, 5), (3, 4, 5), lam, mu)),
+        ("xijam1-disjoint", lambda: check_xijam1(ring, 8, 1, 2, (3, 4, 5), (6, 7, 8), lam, mu)),
+        ("com1", lambda: check_com1(ring, 6, 1, 2, (3, 4), (5, 6), lam, mu)),
+        ("dvac1", lambda: check_dvac1(ring, 8, 1, 2, (3, 4), (5, 6), (7, 8), lam, mu, nu)),
+        ("dvac2-overlap", lambda: check_dvac2(
+            ring, 7, 1, 2, (3, 4), (5, 6), (3, 6, 7), lam, mu, nu)),
+        ("g3ab-m1", lambda: check_g3ab(ring, 5, (1, 2, 3, 4, 5), lam)),
+        ("g3ab-m2", lambda: check_g3ab(ring, 7, (1, 2, 3, 4, 5, 6, 7), lam)),
+        ("g4ab-m2", lambda: check_g4ab(ring, 6, 1, (2, 3, 4, 5, 6), lam)),
+        ("g4ab-m3", lambda: check_g4ab(ring, 8, 2, (1, 3, 4, 5, 6, 7, 8), lam)),
+        ("g6ab-m1", lambda: check_g6ab(ring, 5, (1, 2, 3), lam)),
+        ("g6ab-m2", lambda: check_g6ab(ring, 5, (1, 2, 3, 4, 5), lam)),
+        ("g6ab-m3", lambda: check_g6ab(ring, 7, (1, 2, 3, 4, 5, 6, 7), lam)),
+        ("xipq1-m0", lambda: check_xipq1(ring, 8, 1, 2, (), 3, 4, 5, lam)),
+        ("xipq2-m0", lambda: check_xipq2(ring, 7, 1, 2, ((3, 4),), 5, 6, 7, lam)),
         ("nonnormality", lambda: nonnormality_witness(ring)),
     ]
     for name, runner in cases:

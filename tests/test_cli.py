@@ -165,6 +165,15 @@ class TestMemberCommand:
         assert code == 0
         assert out == "true"
 
+    @pytest.mark.parametrize("endo", ["x1 -> x1; x2 -> x2; x3 -> x3",
+                                      "x1 -> x2; x2 -> x2; x3 -> x3"])
+    def test_bad_ascent_level_refused_on_any_map(self, capsys, endo):
+        # the second map is not an automorphism: the level is refused all the same
+        code, out, err = run_cli(capsys, "member", "--n", "3", "--field", "7",
+                                 "--endo", endo, "--group", "gamma-asc:3")
+        assert (code, out) == (2, "")
+        assert err == "error: Jacobian ascent levels are even and >= 2"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("alias, name", [("sigma'", "sigma-prime"),
                                              ("sigma''", "sigma-double-prime")])

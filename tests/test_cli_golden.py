@@ -16,9 +16,10 @@ coefficient.  Then, over QQ and GF(7): ``mul`` at n = 5; ``member`` on a
 seeded member and a seeded non-member of omega, omega-graded:1, u, gamma,
 phi, sigma, sigma-prime and gamma-asc:2 at n = 5; and ``generators`` for
 sigma at n = 7 and sigma-prime at n = 5 and 6.  ``dims`` (which takes no
-field) runs on four groups, and three runs are refused with exit 2:
-``member --group gamma-asc:3``, ``dims --n 3 --group sigma`` and
-``generators --n 6 --group sigma``.
+field) runs on four groups, and four runs are refused with exit 2:
+``member --group gamma-asc:3`` on a shift and on a map that is not an
+automorphism, ``dims --n 3 --group sigma`` and ``generators --n 6 --group
+sigma``.
 
 Regenerate the file only for a deliberate change of output:
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -208,7 +209,9 @@ def _generate():
                format_endomorphism(sampling.random_gamma(rng, QQ, 5)),
                "--group", "gamma-asc:3"],
               ["dims", "--n", "3", "--group", "sigma"],
-              ["generators", "--n", "6", "--field", "rational", "--group", "sigma"]]
+              ["generators", "--n", "6", "--field", "rational", "--group", "sigma"],
+              ["member", "--n", "3", "--field", "prime:7", "--endo",
+               "x1 -> x2; x2 -> x2; x3 -> x3", "--group", "gamma-asc:3"]]
     with FIXTURE.open("w") as fh:
         json.dump([run(argv) for argv in argvs], fh, indent=1, sort_keys=True)
         fh.write("\n")
