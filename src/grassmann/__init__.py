@@ -10,7 +10,6 @@ from .algebra import (
     invert_unit,
     odd_part,
     parse_element,
-    substitute_zero,
 )
 from .dims import dim_by_coordinates, dim_formula
 from .endo import (
@@ -57,7 +56,6 @@ from .rings import GF, QQ, NotAUnitError, PrimeField, RationalField, ring_from_n
 from .skewcalc import (
     apply_partial_word,
     coordinate_projection,
-    phi_projection,
     skew_partial,
     taylor_reconstruct,
 )

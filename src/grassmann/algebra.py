@@ -516,12 +516,6 @@ def involution(e: GrassmannElement) -> GrassmannElement:
     return wrap(e.ring, e.n, out, e.den)
 
 
-def substitute_zero(e: GrassmannElement, indices: Iterable[int]) -> GrassmannElement:
-    """Set the listed generators to zero: drop every term meeting them."""
-    mask = indices_mask(indices)
-    return restrict(e, {m: c for m, c in e.num.items() if not (m & mask)})
-
-
 def invert_unit(e: GrassmannElement) -> GrassmannElement:
     """Invert a unit: constant part must be a unit of K (``invert_num``)."""
     ring = e.ring
@@ -627,17 +621,7 @@ def parse_element(ring: Ring, n: int, text: str) -> GrassmannElement:
             raise ValueError(f"unexpected token {tok!r}")
         if negative:
             a = -a
-        if p is not None:
-            a = (a if q == 1 else a * pow(q, -1, p)) % p
-        elif a and q != 1:
-            if big % q:
-                grow = q // gcd(big, q)
-                big *= grow
-                for m in out:
-                    out[m] *= grow
-            a *= big // q
-        elif big != 1:
-            a *= big
+        a, big = _over_lcm(p, out, big, a, q)
         if not a:
             continue
         acc = out.get(mask)
@@ -650,6 +634,22 @@ def parse_element(ring: Ring, n: int, text: str) -> GrassmannElement:
                 continue
         out[mask] = a
     return from_num(ring, n, out, big)
+
+
+def _over_lcm(p, out: dict, big: int, a: int, q: int) -> tuple[int, int]:
+    """``(numerator, big)`` of the written a/q: a residue over GF(p) (p not
+    None); over QQ a numerator over the running denominator big of out,
+    which grows to lcm(big, q) and scales out's numerators to match."""
+    if p is not None:
+        return (a if q == 1 else a * pow(q, -1, p)) % p, big
+    if q == 1:
+        return a * big, big
+    if a and big % q:
+        grow = q // gcd(big, q)
+        big *= grow
+        for m in out:
+            out[m] *= grow
+    return a * (big // q), big
 
 
 def _read_monomial(text: str, n: int) -> tuple[int, int]:
@@ -733,17 +733,5 @@ def element_from_json(ring: Ring, n: int, data: dict) -> GrassmannElement:
             raise ValueError(f"mask {mask} out of range for n={n}")
         if mask in out:
             raise ValueError(f"mask {mask} occurs twice in the terms")
-        a, q = parse_ratio(ring, entry["coeff"])
-        if p is not None:
-            a = (a if q == 1 else a * pow(q, -1, p)) % p
-        elif q != 1:
-            if big % q:
-                grow = q // gcd(big, q)
-                big *= grow
-                for m in out:
-                    out[m] *= grow
-            a *= big // q
-        else:
-            a *= big
-        out[mask] = a
+        out[mask], big = _over_lcm(p, out, big, *parse_ratio(ring, entry["coeff"]))
     return from_num(ring, n, out, big)

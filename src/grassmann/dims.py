@@ -26,19 +26,25 @@ _SIGMA_FAMILY = {
 }
 
 
-def _check_range(kind: str, n: int) -> None:
+def _lookup(group, n: int) -> tuple[str, int | None]:
+    """``(kind, param)`` of the named group.  A parameter on a kind of
+    ``DIM_GROUPS`` (all but ``gamma_asc``) is refused, as is an n outside
+    the kind's range."""
+    kind, param = normalize_group_name(group)
+    if param is not None and kind in DIM_GROUPS:
+        raise ValueError(f"group {kind} takes no parameter")
     check_n(n)
     if kind in _SIGMA_FAMILY:
         if n < 4:
             raise ValueError(f"dimension of {kind} needs n >= 4")
     elif n < 2:
         raise ValueError("need n >= 2")
+    return kind, param
 
 
 def dim_formula(group, n: int) -> int:
     """Closed-form dimension of the named group (or quotient / parameter space)."""
-    kind, param = normalize_group_name(group)
-    _check_range(kind, n)
+    kind, param = _lookup(group, n)
     pi = _parity_offset(n)
     if kind == "gamma":
         return n * (2 ** (n - 1) - n)
@@ -98,8 +104,7 @@ def _coords_phi(n: int) -> int:
 
 def dim_by_coordinates(group, n: int) -> int:
     """Recount a dimension by enumerating coordinate monomials per factorization."""
-    kind, param = normalize_group_name(group)
-    _check_range(kind, n)
+    kind, param = _lookup(group, n)
     if kind == "phi":
         return _coords_phi(n)
     if kind == "xi_space":

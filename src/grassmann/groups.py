@@ -98,16 +98,16 @@ def normalize_group_name(name) -> tuple[str, Optional[int]]:
     """``(kind, param)`` of a group name such as ``sigma-prime``, ``sigma'``
     or ``gamma-asc:4``: the one parser for group names, shared by membership
     and the dimension formulas."""
-    text = str(name).strip().lower().replace("-", "_")
-    text = _GROUP_ALIASES.get(text, text)
-    if ":" in text:
-        kind, param = text.split(":", 1)
-        try:
-            return kind, int(param)
-        except ValueError:
-            raise ValueError(f"group {name!r}: the parameter after ':' must be "
-                             f"an integer") from None
-    return text, None
+    kind, colon, param = str(name).strip().lower().partition(":")
+    kind = kind.replace("-", "_")  # the parameter keeps its sign
+    kind = _GROUP_ALIASES.get(kind, kind)
+    if not colon:
+        return kind, None
+    try:
+        return kind, int(param)
+    except ValueError:
+        raise ValueError(f"group {name!r}: the parameter after ':' must be "
+                         f"an integer") from None
 
 
 def parse_group_id(text: str) -> GroupId:

@@ -9,7 +9,7 @@ violations raise ``ConstraintError``.
 
 from __future__ import annotations
 
-from .algebra import GrassmannElement, indices_mask, lincomb, mask_indices, odd_part
+from .algebra import GrassmannElement, indices_mask, lincomb, odd_part
 from .endo import (
     Endomorphism,
     coordinate_shift,
@@ -39,12 +39,6 @@ def ordered_product(ring: Ring, n: int, indices, coeff=None) -> GrassmannElement
     return acc
 
 
-def _mask_sorted(mask_or_indices):
-    if isinstance(mask_or_indices, int):
-        return tuple(mask_indices(mask_or_indices))
-    return tuple(mask_or_indices)
-
-
 def _shift(ring, n, i, indices, lam) -> Endomorphism:
     """x_i -> x_i + lam * (ordered product of the listed generators)."""
     return coordinate_shift(ring, n, i, ordered_product(ring, n, indices, lam),
@@ -70,7 +64,7 @@ def _disjoint(*index_tuples) -> bool:
 
 def check_gcom1(ring: Ring, n: int, i: int, j: int, alpha, beta, lam, mu) -> bool:
     """[x_i += lam x_i x_j a,  x_j += mu x_j b] = (x_i += -lam mu x_i x_j b a)."""
-    a, b = _mask_sorted(alpha), _mask_sorted(beta)
+    a, b = tuple(alpha), tuple(beta)
     _require(i != j, "need i != j")
     _require(_disjoint((i, j), a, b), "supports must avoid {i, j} and each other")
     _require(len(a) % 2 == 1 and len(a) >= 1, "first support must be odd")
@@ -84,7 +78,7 @@ def check_gcom1(ring: Ring, n: int, i: int, j: int, alpha, beta, lam, mu) -> boo
 
 def check_gcom2(ring: Ring, n: int, i: int, alpha, beta, lam, mu) -> bool:
     """[x_i += lam x_i a,  x_i += mu b] = (x_i += -lam mu b a)."""
-    a, b = _mask_sorted(alpha), _mask_sorted(beta)
+    a, b = tuple(alpha), tuple(beta)
     _require(_disjoint((i,), a, b), "supports must avoid i and each other")
     _require(len(a) % 2 == 0 and len(a) >= 2, "first support must be even")
     _require(len(b) % 2 == 1 and len(b) >= 3, "second support must be odd")
@@ -96,7 +90,7 @@ def check_gcom2(ring: Ring, n: int, i: int, alpha, beta, lam, mu) -> bool:
 
 def check_xijam(ring: Ring, n: int, i: int, j: int, alpha, beta, lam, mu) -> bool:
     """[x_i += lam x_j a,  x_j += mu b] = (x_i += -lam mu a b)."""
-    a, b = _mask_sorted(alpha), _mask_sorted(beta)
+    a, b = tuple(alpha), tuple(beta)
     _require(i != j, "need i != j")
     _require(_disjoint((i, j), a) and _disjoint((i, j), b),
              "supports must avoid {i, j}")
@@ -110,7 +104,7 @@ def check_xijam(ring: Ring, n: int, i: int, j: int, alpha, beta, lam, mu) -> boo
 
 def check_xijam1(ring: Ring, n: int, i: int, j: int, alpha, beta, lam, mu) -> bool:
     """Shifts of different coordinates along plain odd supports commute."""
-    a, b = _mask_sorted(alpha), _mask_sorted(beta)
+    a, b = tuple(alpha), tuple(beta)
     _require(i != j, "need i != j")
     _require(_disjoint((i, j), a) and _disjoint((i, j), b),
              "supports must avoid {i, j}")
@@ -122,7 +116,7 @@ def check_xijam1(ring: Ring, n: int, i: int, j: int, alpha, beta, lam, mu) -> bo
 
 def check_com1(ring: Ring, n: int, i: int, j: int, alpha, beta, lam, mu) -> bool:
     """[x_i += lam x_j a, x_j += mu x_i b] scales the pair (x_i, x_j) by 1 -+ lam mu a b."""
-    a, b = _mask_sorted(alpha), _mask_sorted(beta)
+    a, b = tuple(alpha), tuple(beta)
     _require(i != j, "need i != j")
     _require(_disjoint((i, j), a) and _disjoint((i, j), b),
              "supports must avoid {i, j}")
@@ -139,7 +133,7 @@ def check_com1(ring: Ring, n: int, i: int, j: int, alpha, beta, lam, mu) -> bool
 def check_dvac1(ring: Ring, n: int, i: int, j: int, alpha, beta, gamma,
                 lam, mu, nu) -> bool:
     """Triple commutator collapsing to a single shift with doubled coefficient."""
-    a, b, g = _mask_sorted(alpha), _mask_sorted(beta), _mask_sorted(gamma)
+    a, b, g = tuple(alpha), tuple(beta), tuple(gamma)
     _require(i != j, "need i != j")
     _require(all(_disjoint((i, j), t) for t in (a, b, g)),
              "supports must avoid {i, j}")
@@ -157,7 +151,7 @@ def check_dvac1(ring: Ring, n: int, i: int, j: int, alpha, beta, gamma,
 def check_dvac2(ring: Ring, n: int, i: int, j: int, alpha, beta, gamma,
                 lam, mu, nu) -> bool:
     """Variant with an odd third support and no doubling."""
-    a, b, g = _mask_sorted(alpha), _mask_sorted(beta), _mask_sorted(gamma)
+    a, b, g = tuple(alpha), tuple(beta), tuple(gamma)
     _require(i != j, "need i != j")
     _require(all(_disjoint((i, j), t) for t in (a, b, g)),
              "supports must avoid {i, j}")

@@ -9,10 +9,8 @@ are fields in which 2 is invertible, which the rest of the library assumes.
 both fields.  It holds each row as int numerators over one positive row
 denominator, the ``num``/``den`` form of ``GrassmannElement``, so a row
 operation is one cross-multiplication and one gcd over the row (``% p`` over
-GF(p)).  ``gauss_jordan`` runs it on a matrix of field elements, and
-``mat_det``, ``mat_inv`` and the first pass of the local-ring elimination
-behind the Jacobian determinant (``endo._eliminate``) run it on numerators
-directly.
+GF(p)).  ``mat_det``, ``mat_inv`` and the first pass of the local-ring
+elimination behind the Jacobian determinant (``endo._eliminate``) run it.
 """
 
 from __future__ import annotations
@@ -236,31 +234,20 @@ def mat_mul(ring: Ring, a, b):
     return out
 
 
-def gauss_jordan(ring: Ring, m, size: int):
-    """Gauss-Jordan on the first ``size`` columns of the ``size``-row matrix m.
-
-    Works in place on normalized coefficients; returns ``(scale, cols, rank)``
-    with ``cols[j]`` the original index of column j and ``scale`` the signed
-    product of the pivots, so the determinant is ``scale`` if ``rank == size``
-    and 0 otherwise.  Columns past ``size`` follow the row operations: append
-    nothing for the determinant, I for the inverse or the transform.  The
-    rows are split into integer numerators, eliminated by
-    ``gauss_jordan_num`` and written back as field elements.
-    """
-    num, den = split_rows(ring, m)
-    result = gauss_jordan_num(ring, num, den, size)
-    m[:] = [join_row(ring, row, d) for row, d in zip(num, den)]
-    return result
-
-
 def gauss_jordan_num(ring: Ring, num, den, size: int):
-    """``gauss_jordan`` on rows held as ``num[i][j] / den[i]``.
+    """Gauss-Jordan on the first ``size`` columns of the ``size`` rows
+    ``num[i][j] / den[i]``.
 
     ``num`` holds int rows and ``den`` their positive denominators, both
     updated in place: over QQ each row is reduced to coprime numerators
     after every operation, over GF(p) ``den`` stays 1 and the numerators are
-    residues.  Returns ``(scale, cols, rank)`` as ``gauss_jordan`` does, with
-    ``scale`` a field element.
+    residues.  Columns past ``size`` follow the row operations: append
+    nothing for the determinant, I for the inverse or the transform.
+    Returns ``(scale, cols, rank)`` with ``cols[j]`` the original index of
+    column j and ``scale`` the signed product of the pivots, a field
+    element, so the determinant is ``scale`` if ``rank == size`` and 0
+    otherwise.  ``split_rows`` and ``join_row`` convert a matrix of field
+    elements to and from these rows.
 
     The pivot is the first nonzero entry of the remaining block, searched
     column by column.  Invariant: on an invertible block the search never

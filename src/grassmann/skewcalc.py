@@ -8,12 +8,7 @@ library re-derives the sign of a composite derivative.
 
 from __future__ import annotations
 
-from .algebra import (
-    GrassmannElement,
-    mask_indices,
-    restrict,
-    substitute_zero,
-)
+from .algebra import GrassmannElement, mask_indices, restrict
 
 
 def skew_partial(i: int, e: GrassmannElement) -> GrassmannElement:
@@ -58,11 +53,6 @@ def coordinate_projection(i: int, e: GrassmannElement) -> GrassmannElement:
     return restrict(e, {m: c for m, c in e.num.items() if not (m & bit)})
 
 
-def phi_projection(e: GrassmannElement):
-    """The constant term of e, i.e. the composite of all coordinate projections."""
-    return e.constant_term()
-
-
 def phi_projection_by_composition(e: GrassmannElement) -> GrassmannElement:
     """The projection onto K computed operator-by-operator (reference path)."""
     for i in range(1, e.n + 1):
@@ -70,26 +60,13 @@ def phi_projection_by_composition(e: GrassmannElement) -> GrassmannElement:
     return e
 
 
-def taylor_reconstruct(e: GrassmannElement, mode: str = "at_zero") -> GrassmannElement:
-    """Rebuild e coefficient-by-coefficient from its composite derivatives.
-
-    mode "at_zero": coefficient of a monomial is its composite derivative
-    evaluated at the origin.  mode "projected": the same coefficient read off
-    with the constant-term projection, no evaluation step.
-    """
-    if mode not in ("at_zero", "projected"):
-        raise ValueError(f"unknown taylor mode {mode!r}")
+def taylor_reconstruct(e: GrassmannElement) -> GrassmannElement:
+    """Rebuild e coefficient-by-coefficient from its composite derivatives:
+    the coefficient of a monomial is the constant term of its derivative."""
     ring, n = e.ring, e.n
     acc = GrassmannElement.zero(ring, n)
-    all_indices = range(1, n + 1)
     for mask in range(1 << n):
-        d = apply_partial_word(e, mask)
-        if not d:
-            continue
-        if mode == "at_zero":
-            c = substitute_zero(d, all_indices).constant_term()
-        else:
-            c = phi_projection(d)
+        c = apply_partial_word(e, mask).constant_term()
         if c != 0:
             acc = acc + GrassmannElement.monomial(ring, n, mask, c)
     return acc

@@ -24,7 +24,6 @@ from grassmann.algebra import (
     invert_unit,
     lincomb,
     parse_element,
-    substitute_zero,
 )
 from grassmann.endo import parse_endomorphism
 from grassmann.rings import GF, QQ, NotAUnitError, PrimeField, ZeroDenominatorError, _is_prime
@@ -354,19 +353,6 @@ class TestInvolution:
             assert br == even_part(br)
             c = random_element(rng, ring, n, terms=3)
             assert br * c == c * br
-
-
-class TestSubstituteZero:
-    def test_drops_by_index(self, ring):
-        assert substitute_zero(elem(ring, 3, "x1 + x2x3"), {1}) == elem(ring, 3, "x2x3")
-
-    def test_empty_set_is_identity(self, ring, rng):
-        e = random_element(rng, ring, 4, terms=4)
-        assert substitute_zero(e, ()) == e
-
-    def test_disjoint_index(self, ring):
-        e = elem(ring, 3, "x1x2")
-        assert substitute_zero(e, {3}) == e
 
 
 class TestLincomb:

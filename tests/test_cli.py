@@ -188,6 +188,17 @@ class TestMemberCommand:
         assert runs[0] == runs[1]
         assert runs[0][0] == 0
 
+    def test_negative_parameter_read_as_an_integer(self, capsys):
+        # only the kind's '-' become '_': the identity lies in every level
+        ident = "x1 -> x1; x2 -> x2; x3 -> x3; x4 -> x4"
+        code, out, _ = run_cli(capsys, "member", "--n", "4", "--endo", ident,
+                               "--group", "u-pow:-4")
+        assert (code, out) == (0, "true")
+        code, out, err = run_cli(capsys, "member", "--n", "4", "--endo", ident,
+                                 "--group", "gamma-asc:-2")
+        assert (code, out) == (2, "")
+        assert err == "error: Jacobian ascent levels are even and >= 2"
+
     def test_malformed_group_parameter(self, capsys):
         for argv, group in [
                 (("member", "--n", "4", "--endo",
@@ -230,6 +241,15 @@ class TestDimsCommand:
         formula = int(out.split()[0].split("=")[1])
         coords = int(out.split()[1].split("=")[1])
         assert formula == coords
+
+    def test_parameter_refused_as_member_refuses_it(self, capsys):
+        ident = "; ".join(f"x{i} -> x{i}" for i in range(1, 6))
+        dims = run_cli(capsys, "dims", "--n", "5", "--group", "sigma:5")
+        member = run_cli(capsys, "member", "--n", "5", "--endo", ident,
+                         "--group", "sigma:5")
+        assert dims == member == (2, "", "error: group sigma takes no parameter")
+        assert run_cli(capsys, "dims", "--n", "5", "--group", "xi-space:2") == (
+            2, "", "error: group xi_space takes no parameter")
 
 
 class TestGeneratorsCommand:

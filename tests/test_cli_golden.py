@@ -19,7 +19,9 @@ sigma at n = 7 and sigma-prime at n = 5 and 6.  ``dims`` (which takes no
 field) runs on four groups, and four runs are refused with exit 2:
 ``member --group gamma-asc:3`` on a shift and on a map that is not an
 automorphism, ``dims --n 3 --group sigma`` and ``generators --n 6 --group
-sigma``.
+sigma``.  Last, the group parameters: ``dims --group sigma:5`` is refused,
+and on the identity at n = 4 ``member --group u-pow:-4`` holds while
+``member --group gamma-asc:-2`` is refused.
 
 Regenerate the file only for a deliberate change of output:
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -212,6 +214,10 @@ def _generate():
               ["generators", "--n", "6", "--field", "rational", "--group", "sigma"],
               ["member", "--n", "3", "--field", "prime:7", "--endo",
                "x1 -> x2; x2 -> x2; x3 -> x3", "--group", "gamma-asc:3"]]
+    ident = "x1 -> x1; x2 -> x2; x3 -> x3; x4 -> x4"
+    argvs += [["dims", "--n", "5", "--group", "sigma:5"],
+              ["member", "--n", "4", "--endo", ident, "--group", "u-pow:-4"],
+              ["member", "--n", "4", "--endo", ident, "--group", "gamma-asc:-2"]]
     with FIXTURE.open("w") as fh:
         json.dump([run(argv) for argv in argvs], fh, indent=1, sort_keys=True)
         fh.write("\n")
